@@ -2,7 +2,8 @@
 
 One scenario file in, one report out.  Exit codes: 0 computed (and, for a
 verifier, certified), 1 verification failed, 2 invalid input, 3
-inconclusive (NotObserved / Inconclusive outcomes, vacuous certificates).
+inconclusive (NotObserved / Inconclusive outcomes, vacuous certificates,
+a ``scan`` whose sigma_min dips the eigenvalue route did not report).
 
 Reports are deterministic: identical scenario + seed + tool version gives
 byte-identical output.  Wall-clock time therefore goes to stderr, never
@@ -329,7 +330,8 @@ def _cmd_scan(scn: Scenario, tols) -> tuple[dict, int]:
         scn.anchors, scn.grid, scn.tol, scn.window, tols=tols,
     )
     result = {"kind": "scan", "verdict": _verdict_dict(verdict)}
-    code = _EXIT_OK if isinstance(verdict, Regular) else _EXIT_INCONCLUSIVE
+    agreed = isinstance(verdict, Regular) and verdict.resonances.scan_agrees
+    code = _EXIT_OK if agreed else _EXIT_INCONCLUSIVE
     return result, code
 
 

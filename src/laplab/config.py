@@ -39,7 +39,8 @@ class Tolerances:
         Relative radius used to group eigenvalues of T J into clusters
         before the reality test; multiple eigenvalues split like the
         square root of the data error, so they are judged by their
-        cluster mean (first-order stable), never individually.
+        cluster mean (first-order stable); only a cluster whose mean is
+        not real is judged member by member.
     sigma_dip
         A reported resonance must push the smallest singular value of the
         criterion operator below this value.
@@ -82,6 +83,3 @@ DEFAULT_WINDOW: tuple[float, float] = (-5.0, 5.0)
 
 #: Half-width (in sites) of the truncated-lattice brute-force oracle.
 DEFAULT_TRUNCATION_SITES = 2000
-
-#: Step of the sigma_min cross-check grid used to confirm resonances.
-DEFAULT_SCAN_STEP = 1e-3

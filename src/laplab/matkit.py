@@ -70,7 +70,7 @@ def solve_linear(m, b, *, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
-def eig_general(m, *, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def eig_general(m) -> np.ndarray:
     """All eigenvalues of a square matrix, sorted by (real, imag).
 
     The multiset includes algebraic multiplicity.  The ordering is

@@ -12,10 +12,12 @@ nonzero eigenvalues mu of T J.  The eigenvalue route is exact; a smallest-
 singular-value scan over the coupling window is kept as a cross-check.
 
 Multiple eigenvalues of T J split like the square root of the data error
-under rounding, so eigenvalues are grouped into clusters and the reality
-test is applied to the cluster mean (= block trace / size, accurate to
-first order).  Every candidate must additionally push sigma_min of the
-criterion operator below ``sigma_dip`` before it is reported.
+under rounding, so eigenvalues are grouped into clusters.  A cluster with
+a real mean (= block trace / size, accurate to first order) is one
+resonance of multiplicity equal to its size; otherwise each real member
+counts once.  Every candidate must push sigma_min of the criterion operator
+below ``sigma_dip`` before it is reported, so the scan can only add dips
+the eigenvalue route missed.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import matkit
 from .config import (
     DEFAULT_ANCHORS,
-    DEFAULT_SCAN_STEP,
     DEFAULT_TOLERANCES,
     DEFAULT_WINDOW,
     Tolerances,
@@ -75,28 +75,6 @@ class Direction:
     @classmethod
     def zero(cls, k: int) -> "Direction":
         return cls(np.zeros((k, k)))
-
-
-@dataclass(frozen=True, eq=False)
-class CoupledOperator:
-    """H_r = H0 + r F* J F over a base (model, rigging)."""
-
-    model: OperatorModel
-    rigging: Rigging
-    direction: Direction
-    coupling: float
-
-    def __post_init__(self):
-        if self.direction.k != channel_count(self.rigging):
-            raise ValueError("direction size does not match the channel count")
-
-    def compose(self, direction: Direction, coupling: float) -> "CoupledOperator":
-        """Stack a second coupling through the same rigging.
-
-        The result is a single direction r1 J1 + r2 J2 at unit coupling.
-        """
-        combined = self.coupling * self.direction.j + coupling * direction.j
-        return CoupledOperator(self.model, self.rigging, Direction(combined), 1.0)
 
 
 @dataclass(frozen=True)
@@ -181,17 +159,6 @@ def perturbed_resolvent(
     return np.linalg.solve(m, t)
 
 
-def coupled_T(
-    op: CoupledOperator,
-    z,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """T_z(H_r) from the base resolvent through the identity."""
-    base = sandwiched_resolvent(op.model, op.rigging, z, tols=tols)
-    return perturbed_resolvent(base, op.coupling * op.direction.j, tols=tols)
-
-
 def exists_at_coupling(
     t_limit: np.ndarray,
     delta_a: np.ndarray,
@@ -218,8 +185,8 @@ def exists_at_coupling(
 def _cluster_eigenvalues(
     mu: np.ndarray,
     radius_of: np.ndarray,
-) -> list[tuple[complex, int]]:
-    """Group eigenvalues into connected clusters; return (mean, size) pairs."""
+) -> list[np.ndarray]:
+    """Group eigenvalues into connected clusters; return each cluster's members."""
     n = len(mu)
     parent = list(range(n))
 
@@ -236,30 +203,48 @@ def _cluster_eigenvalues(
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in groups.values():
-        vals = mu[members]
-        out.append((complex(vals.mean()), len(members)))
-    return out
+    return [mu[members] for members in groups.values()]
 
 
 def _criterion_sigma(tj: np.ndarray, rho: float) -> float:
     return matkit.smallest_singular(np.eye(tj.shape[0]) + rho * tj)
 
 
+def _golden_section(f, a: float, b: float, xatol: float = 1e-12) -> float:
+    """A minimiser of f on [a, b], to within xatol when f is unimodal."""
+    g = (5.0**0.5 - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(int(np.ceil(np.log((b - a) / xatol) / -np.log(g)))):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def _scan_dips(
     tj: np.ndarray,
     anchor: float,
     window: tuple[float, float],
-    step: float,
     dip: float,
 ) -> tuple[float, ...]:
-    """Grid scan of sigma_min(1 + (r - anchor) T J), refined at local minima."""
+    """Grid scan of sigma_min(1 + (r - anchor) T J), refined at local minima.
+
+    sigma_min is ||TJ||-Lipschitz in r (Weyl), so with the step
+    max(1e-3, 0.2/||TJ||) every root has a grid point with sigma_min <= 0.1,
+    the refinement threshold, within half a step when ||TJ|| <= 200.
+    """
     lo, hi = window
-    count = int(np.floor((hi - lo) / step)) + 1
-    rs = lo + step * np.arange(count)
-    rhos = rs - anchor
-    stack = np.eye(tj.shape[0])[None, :, :] + rhos[:, None, None] * tj[None, :, :]
+    norm = matkit.operator_norm(tj)
+    step = max(1e-3, 0.2 / norm) if norm > 0.0 else hi - lo
+    rs = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
+    stack = (rs - anchor)[:, None, None] * tj
+    stack += np.eye(tj.shape[0])
     sigmas = np.linalg.svd(stack, compute_uv=False)[:, -1]
     # interior local minima plus both ends, worth refining when small
     candidates = [0, len(rs) - 1]
@@ -269,23 +254,16 @@ def _scan_dips(
     for i in sorted(set(candidates)):
         if sigmas[i] > 0.1:
             continue
-        lo_r = rs[max(i - 1, 0)]
-        hi_r = rs[min(i + 1, len(rs) - 1)]
-        res = minimize_scalar(
+        r = _golden_section(
             lambda r: _criterion_sigma(tj, r - anchor),
-            bounds=(lo_r, hi_r),
-            method="bounded",
-            options={"xatol": 1e-12},
+            float(rs[max(i - 1, 0)]),
+            float(rs[min(i + 1, len(rs) - 1)]),
         )
-        if res.fun < dip:
-            dips.append(float(res.x))
+        if _criterion_sigma(tj, r - anchor) < dip:
+            dips.append(r)
     dips.sort()
-    merged: list[float] = []
-    for r in dips:
-        if merged and abs(r - merged[-1]) <= 1e-9 * (1.0 + abs(r)):
-            continue
-        merged.append(r)
-    return tuple(merged)
+    # dips closer than one step are one dip
+    return tuple(r for i, r in enumerate(dips) if i == 0 or r - dips[i - 1] >= step)
 
 
 def resonance_couplings(
@@ -296,7 +274,6 @@ def resonance_couplings(
     *,
     limit_error: float = 0.0,
     cross_check: bool = True,
-    scan_step: float = DEFAULT_SCAN_STEP,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> ResonanceReport:
     """Enumerate resonance couplings of ``direction`` relative to ``anchor``.
@@ -305,38 +282,45 @@ def resonance_couplings(
     ``limit_error`` its error estimate (used to widen the eigenvalue
     clustering radius, since an entry error eps splits a multiple
     eigenvalue by about sqrt(eps)).  An empty report is a valid outcome.
+    With ``cross_check``, ``scan_agrees`` is true when every scan dip lies
+    within 1e-5 (1 + |r|) of a reported coupling r.
     """
     t_limit = matkit.as_square(t_limit)
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be a nonempty interval")
     tj = t_limit @ direction.j
-    mu = matkit.eig_general(tj, tols=tols)
+    mu = matkit.eig_general(tj)
     floor = 10.0 * np.sqrt(max(limit_error, 0.0))
     radius = np.maximum(tols.resonance_cluster_rtol * (1.0 + np.abs(mu)), floor)
     zero_tol = 1e-12 * (1.0 + matkit.operator_norm(tj))
+
+    def is_real(m: complex) -> bool:
+        return abs(m.imag) <= tols.resonance_imag_rtol * (1.0 + abs(m))
+
+    candidates: list[tuple[complex, int]] = []
+    for members in _cluster_eigenvalues(mu, radius):
+        mean = members.mean()
+        if is_real(mean):
+            candidates.append((mean, len(members)))
+        else:
+            candidates.extend((m, 1) for m in members if is_real(m))
     found: list[Resonance] = []
-    for mean, size in _cluster_eigenvalues(mu, radius):
-        if abs(mean) <= zero_tol:
+    for m, multiplicity in candidates:
+        if abs(m) <= zero_tol:
             continue
-        if abs(mean.imag) > tols.resonance_imag_rtol * (1.0 + abs(mean)):
-            continue
-        r = anchor - (1.0 / mean).real
-        if not (lo <= r <= hi):
-            continue
-        if _criterion_sigma(tj, r - anchor) >= tols.sigma_dip:
-            continue
-        found.append(Resonance(coupling=float(r), multiplicity=size))
+        r = anchor - (1.0 / m).real
+        if lo <= r <= hi and _criterion_sigma(tj, r - anchor) < tols.sigma_dip:
+            found.append(Resonance(coupling=float(r), multiplicity=multiplicity))
     found.sort(key=lambda res: res.coupling)
 
     dips = None
     agrees = None
     if cross_check:
-        dips = _scan_dips(tj, anchor, (lo, hi), scan_step, tols.sigma_dip)
-        match_tol = max(10.0 * scan_step * 1e-3, 1e-6)
-        rep = [res.coupling for res in found]
-        agrees = len(dips) == len(rep) and all(
-            abs(a - b) <= match_tol * (1.0 + abs(b)) for a, b in zip(dips, rep)
+        dips = _scan_dips(tj, anchor, (lo, hi), tols.sigma_dip)
+        agrees = all(
+            any(abs(d - res.coupling) <= 1e-5 * (1.0 + abs(res.coupling)) for res in found)
+            for d in dips
         )
     return ResonanceReport(
         anchor=float(anchor),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -160,6 +161,19 @@ class TestCommands:
         table = verdict["resonances"]["resonances"]
         assert len(table) == 1 and table[0]["multiplicity"] == 1
         assert abs(table[0]["r"] - 2.2360680) <= 1e-6
+
+    def test_scan_disagreement_is_inconclusive(self, monkeypatch):
+        real = cli.regular_direction
+
+        def disagreeing(*args, **kwargs):
+            verdict = real(*args, **kwargs)
+            report = dataclasses.replace(verdict.resonances, scan_agrees=False)
+            return dataclasses.replace(verdict, resonances=report)
+
+        monkeypatch.setattr(cli, "regular_direction", disagreeing)
+        report, code = cli.run_scenario(load("lattice_lambda3_scan.json"), "scan")
+        assert code == 3
+        assert report["result"]["verdict"]["resonances"]["scan_agrees"] is False
 
     def test_verify_thm_embedded(self):
         report, code = cli.run_scenario(load("embedded_verify_thm.json"), "verify-thm")
@@ -349,6 +363,16 @@ class TestEndToEnd:
         assert report["effective"]["window"] == [-4.0, 4.0]
         assert report["effective"]["anchors"] == [0.0, 1.0]
         assert report["effective"]["seed"] == 42
+
+    def test_import_pulls_in_numpy_alone(self):
+        code = (
+            "import sys; before = set(sys.modules); import laplab; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['laplab', 'numpy']"
 
     def test_byte_identical_repeat_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -24,16 +24,6 @@ class TestDirection:
         assert perturb.Direction.identity(3).k == 3
         assert (perturb.Direction.zero(2).j == 0).all()
 
-    def test_compose_collapses_couplings(self, embedded_model, swap_direction):
-        model, rig = embedded_model
-        op = perturb.CoupledOperator(model, rig, swap_direction, 2.0)
-        other = perturb.Direction(np.diag([1.0, -1.0]))
-        combined = op.compose(other, 0.5)
-        assert combined.coupling == 1.0
-        np.testing.assert_array_equal(
-            combined.direction.j, 2.0 * swap_direction.j + 0.5 * other.j
-        )
-
 
 class TestPerturbedResolvent:
     def test_zero_direction_is_identity(self):
@@ -48,23 +38,17 @@ class TestPerturbedResolvent:
         np.testing.assert_allclose(out, [[0.25 + 0.25j]], rtol=0, atol=1e-15)
 
     def test_scalar_arithmetic_vs_truncated_lattice(self):
-        # independent oracle: banded solve of H0 + 2 P0 on 80001 sites,
+        # independent oracle: tridiagonal solve of H0 + 2 P0 on 80001 sites,
         # extrapolated over y >> level spacing (pi/N ~ 8e-5)
-        from scipy.linalg import solve_banded
-
         n_sites = 40000
 
         def truncated_perturbed(pt):
-            z = pt.z
             size = 2 * n_sites + 1
-            band = np.zeros((3, size), dtype=complex)
-            band[0, 1:] = 1.0
-            band[1, :] = -z
-            band[1, n_sites] += 2.0
-            band[2, :-1] = 1.0
+            diag = np.full(size, -pt.z)
+            diag[n_sites] += 2.0
             rhs = np.zeros(size, dtype=complex)
             rhs[n_sites] = 1.0
-            return np.array([[solve_banded((1, 1), band, rhs)[n_sites]]])
+            return np.array([[models.tridiagonal_solve(diag, rhs)[n_sites]]])
 
         grid = lap.YGrid(0.1, 0.5, 8)
         out = lap.extrapolate_limit(lap.evaluate_on_grid(truncated_perturbed, 0.0, grid), 1e-6)
@@ -123,11 +107,11 @@ class TestPerturbedResolvent:
 class TestCoupledT:
     def test_zero_coupling(self, embedded_model, swap_direction):
         model, rig = embedded_model
-        op = perturb.CoupledOperator(model, rig, swap_direction, 0.0)
         z = 0.4 + 0.8j
+        base = models.sandwiched_resolvent(model, rig, z)
         np.testing.assert_allclose(
-            perturb.coupled_T(op, z),
-            models.sandwiched_resolvent(model, rig, z),
+            perturb.perturbed_resolvent(base, 0.0 * swap_direction.j),
+            base,
             rtol=0,
             atol=1e-14,
         )
@@ -136,16 +120,16 @@ class TestCoupledT:
         # H=[0], F=[1], J=[1], r=1, z=i: direct 1/(1-i), identity i/(1+i)
         model = models.FiniteHermitian(np.array([[0.0]]))
         rig = models.FiniteRigging(np.array([[1.0]]))
-        op = perturb.CoupledOperator(model, rig, perturb.Direction(np.array([[1.0]])), 1.0)
-        via_identity = perturb.coupled_T(op, 1j)
+        base = models.sandwiched_resolvent(model, rig, 1j)
+        via_identity = perturb.perturbed_resolvent(base, np.array([[1.0]]))
         np.testing.assert_allclose(via_identity, [[0.5 + 0.5j]], rtol=0, atol=1e-14)
         direct = finite_direct_T(model, rig, np.array([[1.0]]), 1j)
         np.testing.assert_allclose(direct, [[0.5 + 0.5j]], rtol=0, atol=1e-14)
 
     def test_boundary_through_exact_base(self, lattice_delta0):
         model, rig = lattice_delta0
-        op = perturb.CoupledOperator(model, rig, perturb.Direction(np.array([[1.0]])), 1.0)
-        t = perturb.coupled_T(op, models.HalfPlanePoint(3.0, 0.0))
+        base = models.sandwiched_resolvent(model, rig, models.HalfPlanePoint(3.0, 0.0))
+        t = perturb.perturbed_resolvent(base, np.array([[1.0]]))
         # (-1/sqrt5) / (1 - 1/sqrt5)
         expected = (-1 / SQ5) / (1 - 1 / SQ5)
         np.testing.assert_allclose(t, [[expected]], rtol=0, atol=1e-14)
@@ -197,6 +181,46 @@ class TestResonanceCouplings:
         assert res.multiplicity == 2
         assert abs(res.coupling) <= 1e-12
         assert report.scan_agrees
+
+    def test_real_member_of_complex_cluster(self):
+        # mu = 1 and its complex neighbour 1.9e-4 away share a cluster whose
+        # mean is not real; the real member is still a resonance at r = 0
+        t = np.diag([1.0, 1.00007 + 1.77e-4j])
+        report = perturb.resonance_couplings(
+            t, perturb.Direction.identity(2), window=(-0.5, 0.5), anchor=1.0
+        )
+        assert len(report.resonances) == 1
+        res = report.resonances[0]
+        assert res.multiplicity == 1
+        assert abs(res.coupling) <= 1e-12
+        assert report.scan_agrees
+
+    @pytest.mark.parametrize(
+        "t, window, expected",
+        [
+            (np.array([[1234.5]]), (-1.0, 1.0), [-1.0 / 1234.5]),
+            (np.diag([3000.7, 0.5]), (-5.0, 5.0), [-2.0, -1.0 / 3000.7]),
+        ],
+    )
+    def test_dip_narrower_than_grid_step(self, t, window, expected):
+        # ||TJ|| > 200: the grid may step over a dip, which is no disagreement
+        report = perturb.resonance_couplings(
+            t, perturb.Direction.identity(t.shape[0]), window=window
+        )
+        found = [res.coupling for res in report.resonances]
+        np.testing.assert_allclose(found, expected, rtol=1e-12, atol=0)
+        assert report.scan_agrees
+
+    def test_scan_reports_missed_resonance(self):
+        # mu = -1/sqrt5 + 1e-10 i fails a reality test tightened to 1e-15,
+        # yet sigma_min dips to ~2e-10 at r = sqrt5: the routes disagree
+        tols = perturb.DEFAULT_TOLERANCES.with_overrides(resonance_imag_rtol=1e-15)
+        report = perturb.resonance_couplings(
+            np.array([[-1.0 / SQ5 + 1e-10j]]), perturb.Direction(np.array([[1.0]])), tols=tols
+        )
+        assert report.resonances == ()
+        assert len(report.scan_dips) == 1 and abs(report.scan_dips[0] - SQ5) <= 1e-8
+        assert report.scan_agrees is False
 
     def test_strict_positivity_exclusion_random_directions(self):
         # Im T positive definite forbids real spectrum of T J for every J
