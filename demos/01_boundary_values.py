@@ -12,7 +12,7 @@ inside the band.  This script compares three routes to the same number:
 
 import numpy as np
 
-from laplab import lap, models
+from laplab import lap, models, perturb
 
 model = models.FreeLattice1D()
 rig = models.delta_rigging()
@@ -53,7 +53,7 @@ print()
 print("=== a divergent case: grid trace of the point-mass channel ===")
 point = models.FiniteHermitian(np.array([[0.0]]))
 prig = models.FiniteRigging(np.array([[1.0]]))
-outcome = lap.boundary_limit(point, prig, 0.0)
+outcome = perturb.boundary_limit(point, prig, 0.0)
 print(f"  verdict: {type(outcome).__name__}, fitted blow-up exponent "
       f"{outcome.blowup_exponent:.3f} (a boundary pole has exponent 1)")
 for y, nm in outcome.norms_trace[:5]:

@@ -12,7 +12,7 @@ multiplicity two.
 
 import numpy as np
 
-from laplab import lap, models, perturb
+from laplab import models, perturb
 
 model, rig = models.make_direct_sum(
     (models.FreeLattice1D(), models.delta_rigging()),
@@ -20,7 +20,7 @@ model, rig = models.make_direct_sum(
 )
 
 print("=== the base operator fails the limiting absorption principle at 0 ===")
-base = lap.boundary_limit(model, rig, 0.0)
+base = perturb.boundary_limit(model, rig, 0.0)
 print(f"verdict: {type(base).__name__}, blow-up exponent {base.blowup_exponent:.4f}")
 
 print()

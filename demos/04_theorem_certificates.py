@@ -3,10 +3,11 @@
 Each verifier establishes its premise on a concrete scenario, runs the
 conclusion, and returns a certificate embedding both verdicts.  The
 randomized sweeps replay this over seeded embedded-eigenvalue scenarios
-(scenario i derives from master seed + i) and write one CSV summary row
-per case plus a JSON detail file.
+(scenario i derives from master seed + i); this script writes each
+sweep's per-case details as JSON.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -56,12 +57,9 @@ print()
 print("=== randomized sweeps (100 seeded scenarios each) ===")
 outdir = Path(tempfile.mkdtemp(prefix="laplab-sweeps-"))
 for kind in ("theorem", "cor-abs", "cor-monotone"):
-    result = verify.run_sweep(
-        kind,
-        count=100,
-        csv_path=outdir / f"{kind}.csv",
-        json_path=outdir / f"{kind}.json",
-    )
+    result = verify.run_sweep(kind, count=100)
+    details = json.dumps(verify.sweep_details(result), indent=2, sort_keys=True)
+    (outdir / f"{kind}.json").write_text(details + "\n", encoding="utf-8")
     print(f"{kind:13s}: established {result.established}/100, "
           f"vacuous {result.vacuous}, failures {result.failures}")
-print(f"summary rows and detail files written under {outdir}")
+print(f"detail files written under {outdir}")

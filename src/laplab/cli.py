@@ -5,9 +5,9 @@ verifier, certified), 1 verification failed, 2 invalid input, 3
 inconclusive (NotObserved / Inconclusive outcomes, vacuous certificates,
 a ``scan`` whose sigma_min dips the eigenvalue route did not report).
 
-Reports are deterministic: identical scenario + seed + tool version gives
+Reports are deterministic: the same scenario and tool version give
 byte-identical output.  Wall-clock time therefore goes to stderr, never
-into the canonical report (the report key stays null).
+into the canonical report.
 """
 
 from __future__ import annotations
@@ -30,12 +30,22 @@ from .errors import (
     LapLabError,
     ScenarioError,
 )
-from .lap import Converged, Diverged, Inconclusive, evaluate_on_grid, extrapolate_limit
-from .models import FiniteHermitian, FiniteRigging, boundary_exact, sandwiched_resolvent
+from .lap import Converged, Diverged, Inconclusive, extrapolate_limit
+from .models import (
+    FiniteHermitian,
+    FiniteRigging,
+    boundary_exact,
+    channel_count,
+    essential_spectrum,
+    sandwiched_resolvent,
+)
 from .perturb import (
     Direction,
     Regular,
     ResonanceReport,
+    _limit_from,
+    boundary_limit,
+    coupled_samples,
     finite_perturbed_hamiltonian,
     perturbed_resolvent,
     regular_direction,
@@ -257,14 +267,11 @@ def parse_report(blob: bytes) -> dict:
 
 
 def _effective_dict(scn: Scenario) -> dict:
-    from .models import essential_spectrum
-
     return {
         "grid": {"y0": scn.grid.y0, "q": scn.grid.q, "n": scn.grid.n},
         "anchors": list(scn.anchors),
         "window": [scn.window[0], scn.window[1]],
         "tol": scn.tol,
-        "seed": scn.seed,
         # advisory metadata, never used to gate computations
         "essential_spectrum": [[lo, hi] for lo, hi in essential_spectrum(scn.model)],
     }
@@ -277,50 +284,28 @@ def _require_direction(scn: Scenario, command: str) -> Direction:
 
 
 def _cmd_limit(scn: Scenario, tols) -> tuple[dict, int]:
+    """The limit at the first anchor; with an exact base value, both routes."""
     r0 = scn.anchors[0]
     a = r0 * scn.direction.j if scn.direction is not None else None
-
-    def evaluate(pt):
-        base = sandwiched_resolvent(scn.model, scn.rigging, pt, tols=tols)
-        if a is None:
-            return base
-        return perturbed_resolvent(base, a, tols=tols)
-
+    result = {"kind": "limit", "coupling": float(r0)}
     try:
-        samples = evaluate_on_grid(evaluate, scn.lam, scn.grid)
+        samples = coupled_samples(scn.model, scn.rigging, scn.lam, a, scn.grid, tols=tols)
     except GridEvaluationError as exc:
-        return (
-            {"kind": "limit", "coupling": r0, "outcome": "error", "error": str(exc)},
-            _EXIT_INCONCLUSIVE,
-        )
+        result.update(outcome="error", error=str(exc))
+        return result, _EXIT_INCONCLUSIVE
     numeric = extrapolate_limit(samples, scn.tol, tols=tols)
-    trace = [[float(y), float(np.linalg.norm(v, 2))] for y, v in samples]
-
-    exact = boundary_exact(scn.model, scn.rigging, scn.lam, tols=tols)
-    exact_limit = None
-    if exact is not None and a is not None:
-        try:
-            exact_limit = perturbed_resolvent(exact, a, tols=tols)
-        except AtResonance:
-            exact_limit = None
-    elif exact is not None:
-        exact_limit = exact
-
-    result = {"kind": "limit", "coupling": float(r0), "norms_trace": trace}
-    if exact_limit is not None:
-        result.update(
-            {
-                "outcome": "converged",
-                "value": _matrix(exact_limit),
-                "error_estimate": 0.0,
-                "method": "exact",
-                "extrapolation": _limit_dict(numeric),
-            }
-        )
-        return result, _EXIT_OK
-    result.update(_limit_dict(numeric))
-    code = _EXIT_INCONCLUSIVE if isinstance(numeric, Inconclusive) else _EXIT_OK
-    return result, code
+    result["norms_trace"] = [[float(y), float(np.linalg.norm(v, 2))] for y, v in samples]
+    base = boundary_exact(scn.model, scn.rigging, scn.lam, tols=tols)
+    if base is None:
+        result.update(_limit_dict(numeric))
+        return result, _EXIT_INCONCLUSIVE if isinstance(numeric, Inconclusive) else _EXIT_OK
+    try:
+        exact = _limit_from(base, scn.model, scn.rigging, scn.lam, a, scn.grid, scn.tol, tols)
+        result.update(_limit_dict(exact))
+    except AtResonance as exc:
+        result.update(outcome="at_resonance", method="exact", sigma_min=float(exc.sigma_min))
+    result["extrapolation"] = _limit_dict(numeric)
+    return result, _EXIT_OK
 
 
 def _cmd_scan(scn: Scenario, tols) -> tuple[dict, int]:
@@ -410,7 +395,7 @@ def _row(axis: str, value: float, t: np.ndarray | None, tj_ref: np.ndarray | Non
         "im_t_min_eig": float(im_min) if np.isfinite(im_min) else None,
         "criterion_sigma_min": float(sigma) if np.isfinite(sigma) else None,
         "verdict": verdict,
-        "at_resonance": bool(finite and sigma < tols.sigma_dip),
+        "at_resonance": verdict == "at_resonance" or bool(finite and sigma < tols.sigma_dip),
     }
 
 
@@ -427,7 +412,7 @@ def sweep_grid(scn: Scenario, command: str, tols=DEFAULT_TOLERANCES) -> tuple[di
     spec = scn.sweep
     assert spec is not None
     values = np.linspace(spec.start, spec.stop, spec.points)
-    k = scn.direction.k if scn.direction is not None else _k_of(scn)
+    k = channel_count(scn.rigging)
     j = scn.direction.j if scn.direction is not None else np.eye(k)
     rows = []
     if spec.axis in ("r", "t"):
@@ -448,33 +433,17 @@ def sweep_grid(scn: Scenario, command: str, tols=DEFAULT_TOLERANCES) -> tuple[di
             except AtResonance:
                 rows.append(_row(spec.axis, r, t0, tj, "at_resonance", tols))
     elif spec.axis == "lambda":
-        r0 = scn.anchors[0]
+        a = scn.anchors[0] * j
         for lam in values:
-            def evaluate(pt):
-                base = sandwiched_resolvent(scn.model, scn.rigging, pt, tols=tols)
-                return perturbed_resolvent(base, r0 * j, tols=tols)
-
-            exact = boundary_exact(scn.model, scn.rigging, float(lam), tols=tols)
-            outcome = None
-            if exact is not None:
-                try:
-                    outcome = Converged(perturbed_resolvent(exact, r0 * j, tols=tols), 0.0, "exact")
-                except AtResonance:
-                    outcome = None
-            if outcome is None:
-                try:
-                    samples = evaluate_on_grid(evaluate, float(lam), scn.grid)
-                    outcome = extrapolate_limit(samples, scn.tol, tols=tols)
-                except GridEvaluationError:
-                    rows.append(_row("lambda", lam, None, None, "error", tols))
-                    continue
-            if isinstance(outcome, Converged):
-                t = outcome.value
-                rows.append(_row("lambda", lam, t, t @ j, "converged", tols))
-            elif isinstance(outcome, Diverged):
-                rows.append(_row("lambda", lam, None, None, "diverged", tols))
-            else:
-                rows.append(_row("lambda", lam, None, None, "inconclusive", tols))
+            try:
+                outcome = boundary_limit(scn.model, scn.rigging, float(lam), a, scn.grid, scn.tol, tols=tols)
+                verdict = type(outcome).__name__.lower()  # converged | diverged | inconclusive
+            except AtResonance:
+                verdict = "at_resonance"
+            except GridEvaluationError:
+                verdict = "error"
+            t = outcome.value if verdict == "converged" else None
+            rows.append(_row("lambda", lam, t, None if t is None else t @ j, verdict, tols))
     else:  # axis == "y"
         r0 = scn.anchors[0]
         for y in values:
@@ -486,12 +455,6 @@ def sweep_grid(scn: Scenario, command: str, tols=DEFAULT_TOLERANCES) -> tuple[di
                 rows.append(_row("y", y, None, None, "at_resonance", tols))
     result = {"kind": "sweep", "axis": spec.axis, "command": command, "rows": rows}
     return result, _EXIT_OK
-
-
-def _k_of(scn: Scenario) -> int:
-    from .models import channel_count
-
-    return channel_count(scn.rigging)
 
 
 def run_scenario(scn: Scenario, command: str, *, tols=DEFAULT_TOLERANCES) -> tuple[dict, int]:
@@ -526,7 +489,6 @@ def run_scenario(scn: Scenario, command: str, *, tols=DEFAULT_TOLERANCES) -> tup
         "scenario": scn.raw,
         "effective": _effective_dict(scn),
         "result": result,
-        "wall_clock_ms": None,
     }
     return report, code
 
@@ -545,7 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--out", default=None, help="write the report here (default: stdout)")
     parser.add_argument("--format", default="json", choices=("json", "csv"))
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--tol", type=float, default=None, help="override the extrapolation tolerance")
     parser.add_argument("--anchors", default=None, help="comma-separated anchor couplings")
     parser.add_argument("--window", default=None, help="resonance search window A:B")
@@ -556,8 +517,6 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
     from dataclasses import replace
 
     updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
     if args.tol is not None:
         if args.tol <= 0:
             raise ScenarioError("/tol/extrapolation", "must be positive")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GridEvaluationError, LapLabError
-from .models import HalfPlanePoint, OperatorModel, Rigging, boundary_exact, sandwiched_resolvent
+from .models import HalfPlanePoint
 
 
 @dataclass(frozen=True)
@@ -153,21 +153,3 @@ def extrapolate_limit(
         diag_prev = row[-1]
     return Inconclusive(last_delta=deltas[-1], blowup_exponent=exponent, norms_trace=trace)
 
-
-def boundary_limit(
-    model: OperatorModel,
-    rigging: Rigging,
-    lam: float,
-    grid: YGrid = DEFAULT_GRID,
-    tol: float | None = None,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> BoundaryLimit:
-    """Boundary value of the base model: exact where available, else numeric."""
-    exact = boundary_exact(model, rigging, lam, tols=tols)
-    if exact is not None:
-        return Converged(value=exact, error_estimate=0.0, method="exact")
-    samples = evaluate_on_grid(
-        lambda pt: sandwiched_resolvent(model, rigging, pt, tols=tols), lam, grid
-    )
-    return extrapolate_limit(samples, tol, tols=tols)

@@ -199,11 +199,9 @@ OperatorModel = Union[FiniteHermitian, FreeLattice1D, DirectSum]
 
 
 def channel_count(rigging: Rigging) -> int:
-    if isinstance(rigging, (LatticeRigging, FiniteRigging)):
-        return rigging.k
-    if isinstance(rigging, SplitRigging):
-        return rigging.k
-    raise TypeError(f"not a rigging: {type(rigging).__name__}")
+    if not isinstance(rigging, (LatticeRigging, FiniteRigging, SplitRigging)):
+        raise TypeError(f"not a rigging: {type(rigging).__name__}")
+    return rigging.k
 
 
 def make_direct_sum(left, right) -> tuple[DirectSum, SplitRigging]:
@@ -253,6 +251,15 @@ def _pair_check(model, rigging) -> None:
         )
 
 
+def _block_diagonal(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """diag(left, right): the sandwiched resolvent of a direct sum."""
+    k = left.shape[0]
+    out = np.zeros((k + right.shape[0],) * 2, dtype=complex)
+    out[:k, :k] = left
+    out[k:, k:] = right
+    return out
+
+
 def sandwiched_resolvent(
     model: OperatorModel,
     rigging: Rigging,
@@ -287,13 +294,10 @@ def sandwiched_resolvent(
                         acc += np.conj(a) * b * free_lattice_kernel(zc, n, m)
                 t[p, q] = acc
         return t
-    tl = sandwiched_resolvent(model.left, rigging.left, zc, tols=tols)
-    tr = sandwiched_resolvent(model.right, rigging.right, zc, tols=tols)
-    k = tl.shape[0] + tr.shape[0]
-    out = np.zeros((k, k), dtype=complex)
-    out[: tl.shape[0], : tl.shape[0]] = tl
-    out[tl.shape[0] :, tl.shape[0] :] = tr
-    return out
+    return _block_diagonal(
+        sandwiched_resolvent(model.left, rigging.left, zc, tols=tols),
+        sandwiched_resolvent(model.right, rigging.right, zc, tols=tols),
+    )
 
 
 def boundary_exact(
@@ -328,11 +332,7 @@ def boundary_exact(
     right = boundary_exact(model.right, rigging.right, lam, tols=tols)
     if right is None:
         return None
-    k = left.shape[0] + right.shape[0]
-    out = np.zeros((k, k), dtype=complex)
-    out[: left.shape[0], : left.shape[0]] = left
-    out[left.shape[0] :, left.shape[0] :] = right
-    return out
+    return _block_diagonal(left, right)
 
 
 def tridiagonal_solve(diag, rhs) -> np.ndarray:

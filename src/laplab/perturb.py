@@ -5,7 +5,10 @@ resolvent identity collapses to k-by-k algebra:
 
     T_z(H + F* A F) = [1 + T_z(H) A]^-1 T_z(H).
 
-Everything in this module is built on that identity.  A coupling r is a
+Everything in this module is built on that identity.  The boundary value
+at a coupling follows one rule (:func:`boundary_limit`): exact through the
+identity when the base model has a closed form, otherwise extrapolated
+from y-samples of the coupled resolvent.  A coupling r is a
 *resonance* (relative to a convergent anchor r0) exactly when
 1 + (r - r0) T J is singular, which happens at r = r0 - 1/mu for the real
 nonzero eigenvalues mu of T J.  The eigenvalue route is exact; a smallest-
@@ -39,7 +42,6 @@ from .lap import (
     BoundaryLimit,
     Converged,
     Diverged,
-    Inconclusive,
     YGrid,
     evaluate_on_grid,
     extrapolate_limit,
@@ -332,6 +334,60 @@ def resonance_couplings(
     )
 
 
+def coupled_samples(
+    model: OperatorModel,
+    rigging: Rigging,
+    lam: float,
+    a: np.ndarray | None = None,
+    grid: YGrid = DEFAULT_GRID,
+    *,
+    tols: Tolerances = DEFAULT_TOLERANCES,
+) -> list[tuple[float, np.ndarray]]:
+    """Samples of T_{lam+iy}(H + F* a F) on the y-grid, largest y first.
+
+    ``a=None`` means no coupling.  A failed sample (``AtResonance`` among
+    them) raises :class:`GridEvaluationError`.
+    """
+
+    def coupled(pt):
+        base = sandwiched_resolvent(model, rigging, pt, tols=tols)
+        return base if a is None else perturbed_resolvent(base, a, tols=tols)
+
+    return evaluate_on_grid(coupled, lam, grid)
+
+
+def _limit_from(base, model, rigging, lam, a, grid, tol, tols) -> BoundaryLimit:
+    """The boundary value of H + F* a F at lam, given ``base = boundary_exact(...)``.
+
+    Exact through the identity when the base value is known, otherwise the
+    extrapolated coupled samples.  ``AtResonance`` (exact route) and
+    ``GridEvaluationError`` (numeric route) propagate.
+    """
+    if base is not None:
+        value = base if a is None else perturbed_resolvent(base, a, tols=tols)
+        return Converged(value=value, error_estimate=0.0, method="exact")
+    return extrapolate_limit(coupled_samples(model, rigging, lam, a, grid, tols=tols), tol, tols=tols)
+
+
+def boundary_limit(
+    model: OperatorModel,
+    rigging: Rigging,
+    lam: float,
+    a: np.ndarray | None = None,
+    grid: YGrid = DEFAULT_GRID,
+    tol: float | None = None,
+    *,
+    tols: Tolerances = DEFAULT_TOLERANCES,
+) -> BoundaryLimit:
+    """Boundary value T_{lam+i0}(H + F* a F): exact where available, else numeric.
+
+    Raises ``AtResonance`` when the exact route finds 1 + T a singular, and
+    ``GridEvaluationError`` when a y-sample fails.
+    """
+    base = boundary_exact(model, rigging, lam, tols=tols)
+    return _limit_from(base, model, rigging, lam, a, grid, tol, tols)
+
+
 def regular_direction(
     model: OperatorModel,
     rigging: Rigging,
@@ -359,27 +415,17 @@ def regular_direction(
         raise ValueError("anchor list must be nonempty")
     if direction.k != channel_count(rigging):
         raise ValueError("direction size does not match the channel count")
-    exact_base = boundary_exact(model, rigging, lam, tols=tols)
+    base = boundary_exact(model, rigging, lam, tols=tols)
     attempts: list[AnchorAttempt] = []
     for r0 in anchors:
-        if exact_base is not None:
-            try:
-                limit = perturbed_resolvent(exact_base, r0 * direction.j, tols=tols)
-            except AtResonance as exc:
-                attempts.append(AnchorAttempt(r0, "at_resonance", exc.sigma_min))
-                continue
-            outcome: BoundaryLimit = Converged(value=limit, error_estimate=0.0, method="exact")
-        else:
-            def coupled(pt, _r0=r0):
-                base = sandwiched_resolvent(model, rigging, pt, tols=tols)
-                return perturbed_resolvent(base, _r0 * direction.j, tols=tols)
-
-            try:
-                samples = evaluate_on_grid(coupled, lam, grid)
-            except GridEvaluationError as exc:
-                attempts.append(AnchorAttempt(r0, "error", float(exc.y)))
-                continue
-            outcome = extrapolate_limit(samples, tol, tols=tols)
+        try:
+            outcome = _limit_from(base, model, rigging, lam, r0 * direction.j, grid, tol, tols)
+        except AtResonance as exc:
+            attempts.append(AnchorAttempt(r0, "at_resonance", exc.sigma_min))
+            continue
+        except GridEvaluationError as exc:
+            attempts.append(AnchorAttempt(r0, "error", float(exc.y)))
+            continue
         if isinstance(outcome, Converged):
             report = resonance_couplings(
                 outcome.value,
@@ -399,7 +445,7 @@ def regular_direction(
             )
         if isinstance(outcome, Diverged):
             attempts.append(AnchorAttempt(r0, "diverged", outcome.blowup_exponent))
-        elif isinstance(outcome, Inconclusive):
+        else:
             attempts.append(AnchorAttempt(r0, "inconclusive", outcome.last_delta))
     return NotObserved(attempts=tuple(attempts))
 

@@ -16,7 +16,6 @@ Schema (complex numbers are two-element arrays ``[re, im]``)::
       "anchors": [number, ...],                              # optional
       "window":  [number, number],                           # optional
       "tol":     {"extrapolation": number},                  # optional
-      "seed":    int,                                        # optional
       "flow":    {"r_from": number, "r_to": number},         # optional
       "sweep":   {"axis": "lambda"|"r"|"t"|"y",
                   "start": number, "stop": number, "points": int}  # optional
@@ -36,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_ANCHORS, DEFAULT_WINDOW
+from .config import DEFAULT_ANCHORS, DEFAULT_TOLERANCES, DEFAULT_WINDOW
 from .errors import ScenarioError
 from .lap import DEFAULT_GRID, YGrid
 from .models import (
@@ -75,7 +74,6 @@ class Scenario:
     anchors: tuple[float, ...]
     window: tuple[float, float]
     tol: float
-    seed: int
     flow: tuple[float, float] | None
     sweep: SweepSpec | None
 
@@ -211,7 +209,7 @@ def _build_model(spec, channels, path: str, chan_path: str) -> tuple[OperatorMod
 
 _TOP_KEYS = (
     "model", "rigging", "J", "Jtilde", "lambda", "grid", "anchors",
-    "window", "tol", "seed", "flow", "sweep",
+    "window", "tol", "flow", "sweep",
 )
 
 
@@ -272,17 +270,13 @@ def parse_scenario(doc) -> Scenario:
         if not window[0] < window[1]:
             raise ScenarioError("/window", "window must be a nonempty interval")
 
-    tol = 1e-6
+    tol = DEFAULT_TOLERANCES.extrapolation_tol
     if "tol" in top:
         t = _obj(top["tol"], "/tol", allowed=("extrapolation",))
         if "extrapolation" in t:
             tol = _number(t["extrapolation"], "/tol/extrapolation")
             if tol <= 0:
                 raise ScenarioError("/tol/extrapolation", "must be positive")
-
-    seed = 0
-    if "seed" in top:
-        seed = _integer(top["seed"], "/seed")
 
     flow = None
     if "flow" in top:
@@ -319,7 +313,6 @@ def parse_scenario(doc) -> Scenario:
         anchors=anchors,
         window=window,
         tol=tol,
-        seed=seed,
         flow=flow,
         sweep=sweep,
     )

@@ -16,10 +16,7 @@ Vacuous passes (premise never established) are first class and labeled.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,8 +41,8 @@ from .perturb import (
     Regular,
     RegularityVerdict,
     ResonanceReport,
-    is_semi_regular,
     regular_direction,
+    resonance_couplings,
 )
 
 #: Master seed for the randomized sweeps; scenario i uses MASTER_SEED + i.
@@ -238,6 +235,45 @@ class TheoremCertificate:
     projected_resonances: ResonanceReport | None = None
 
 
+def _certify(
+    claim: str,
+    model: OperatorModel,
+    rigging: Rigging,
+    lam: float,
+    premise_dir: Direction,
+    conclusion_dir: Direction,
+    anchors: tuple[float, ...],
+    grid: YGrid,
+    window: tuple[float, float],
+    scenario: str,
+    cross_check: bool,
+    tols: Tolerances,
+) -> TheoremCertificate:
+    """Premise verdict, then conclusion verdict: passed when the conclusion is regular.
+
+    An unestablished premise makes the certificate vacuous: it passes
+    without a conclusion verdict.
+    """
+
+    def verdict(direction: Direction) -> RegularityVerdict:
+        return regular_direction(
+            model, rigging, lam, direction, anchors, grid, None, window,
+            cross_check=cross_check, tols=tols,
+        )
+
+    premise = verdict(premise_dir)
+    if isinstance(premise, NotObserved):
+        return TheoremCertificate(
+            claim, scenario, premise_dir, conclusion_dir, premise, None,
+            vacuous=True, passed=True, notes=("premise unestablished",),
+        )
+    conclusion = verdict(conclusion_dir)
+    return TheoremCertificate(
+        claim, scenario, premise_dir, conclusion_dir, premise, conclusion,
+        vacuous=False, passed=isinstance(conclusion, Regular),
+    )
+
+
 def verify_regular_direction_theorem(
     model: OperatorModel,
     rigging: Rigging,
@@ -252,35 +288,10 @@ def verify_regular_direction_theorem(
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> TheoremCertificate:
     """Premise: J regular at lam.  Conclusion: F*F regular at lam."""
-    premise = regular_direction(
-        model, rigging, lam, direction, anchors, grid, None, window,
-        cross_check=cross_check, tols=tols,
-    )
-    k = channel_count(rigging)
-    if isinstance(premise, NotObserved):
-        return TheoremCertificate(
-            claim="regular-direction-theorem",
-            scenario=scenario,
-            premise_direction=direction,
-            conclusion_direction=Direction.identity(k),
-            premise=premise,
-            conclusion=None,
-            vacuous=True,
-            passed=True,
-            notes=("premise unestablished",),
-        )
-    conclusion = is_semi_regular(
-        model, rigging, lam, anchors, grid, None, window, cross_check=cross_check, tols=tols
-    )
-    return TheoremCertificate(
-        claim="regular-direction-theorem",
-        scenario=scenario,
-        premise_direction=direction,
-        conclusion_direction=Direction.identity(k),
-        premise=premise,
-        conclusion=conclusion,
-        vacuous=False,
-        passed=isinstance(conclusion, Regular),
+    return _certify(
+        "regular-direction-theorem", model, rigging, lam, direction,
+        Direction.identity(channel_count(rigging)), anchors, grid, window,
+        scenario, cross_check, tols,
     )
 
 
@@ -316,8 +327,6 @@ def _projected_resonances(
     t_proj = basis.conj().T @ t_limit @ basis
     d_proj = basis.conj().T @ j_psd @ basis
     d_proj = 0.5 * (d_proj + d_proj.conj().T)
-    from .perturb import resonance_couplings  # local import keeps module load acyclic
-
     report = resonance_couplings(
         t_proj, Direction(d_proj), window, anchor, cross_check=False, tols=tols
     )
@@ -343,50 +352,24 @@ def verify_cor_abs(
     restricted to the range of |J| (the weight is invertible there); the
     projected report is attached to the certificate.
     """
-    premise = regular_direction(
-        model, rigging, lam, direction, anchors, grid, None, window,
-        cross_check=cross_check, tols=tols,
-    )
     abs_j = matkit.abs_hermitian(direction.j, tols=tols)
-    conclusion_direction = Direction(abs_j)
-    if isinstance(premise, NotObserved):
-        return TheoremCertificate(
-            claim="corollary-abs",
-            scenario=scenario,
-            premise_direction=direction,
-            conclusion_direction=conclusion_direction,
-            premise=premise,
-            conclusion=None,
-            vacuous=True,
-            passed=True,
-            notes=("premise unestablished",),
-        )
-    conclusion = regular_direction(
-        model, rigging, lam, conclusion_direction, anchors, grid, None, window,
-        cross_check=cross_check, tols=tols,
+    cert = _certify(
+        "corollary-abs", model, rigging, lam, direction, Direction(abs_j),
+        anchors, grid, window, scenario, cross_check, tols,
     )
-    projected = None
-    notes: tuple[str, ...] = ()
-    if isinstance(conclusion, Regular):
-        k = abs_j.shape[0]
-        rank_deficient = matkit.smallest_singular(abs_j) <= tols.psd_clamp_rtol * max(
-            matkit.operator_norm(abs_j), 1e-300
-        )
-        if rank_deficient:
-            projected, rank = _projected_resonances(
-                conclusion.limit, abs_j, window, conclusion.witness_coupling, tols=tols
-            )
-            notes = (f"|J| singular: resonance analysis projected to rank {rank} range",)
-    return TheoremCertificate(
-        claim="corollary-abs",
-        scenario=scenario,
-        premise_direction=direction,
-        conclusion_direction=conclusion_direction,
-        premise=premise,
-        conclusion=conclusion,
-        vacuous=False,
-        passed=isinstance(conclusion, Regular),
-        notes=notes,
+    if not isinstance(cert.conclusion, Regular):
+        return cert
+    rank_deficient = matkit.smallest_singular(abs_j) <= tols.psd_clamp_rtol * max(
+        matkit.operator_norm(abs_j), 1e-300
+    )
+    if not rank_deficient:
+        return cert
+    projected, rank = _projected_resonances(
+        cert.conclusion.limit, abs_j, window, cert.conclusion.witness_coupling, tols=tols
+    )
+    return replace(
+        cert,
+        notes=(f"|J| singular: resonance analysis projected to rank {rank} range",),
         projected_resonances=projected,
     )
 
@@ -415,35 +398,9 @@ def verify_cor_monotone(
     norm_diff = max(matkit.operator_norm(diff), matkit.operator_norm(jt), 1e-300)
     if matkit.min_eig_hermitian(diff, tols=tols) < -1e-10 * norm_diff:
         raise InvalidPremise("J~ - J is not positive semidefinite")
-    premise = regular_direction(
-        model, rigging, lam, direction, anchors, grid, None, window,
-        cross_check=cross_check, tols=tols,
-    )
-    if isinstance(premise, NotObserved):
-        return TheoremCertificate(
-            claim="corollary-monotone",
-            scenario=scenario,
-            premise_direction=direction,
-            conclusion_direction=direction_tilde,
-            premise=premise,
-            conclusion=None,
-            vacuous=True,
-            passed=True,
-            notes=("premise unestablished",),
-        )
-    conclusion = regular_direction(
-        model, rigging, lam, direction_tilde, anchors, grid, None, window,
-        cross_check=cross_check, tols=tols,
-    )
-    return TheoremCertificate(
-        claim="corollary-monotone",
-        scenario=scenario,
-        premise_direction=direction,
-        conclusion_direction=direction_tilde,
-        premise=premise,
-        conclusion=conclusion,
-        vacuous=False,
-        passed=isinstance(conclusion, Regular),
+    return _certify(
+        "corollary-monotone", model, rigging, lam, direction, direction_tilde,
+        anchors, grid, window, scenario, cross_check, tols,
     )
 
 
@@ -524,8 +481,6 @@ def run_sweep(
     kind: str,
     count: int = 100,
     master_seed: int = MASTER_SEED,
-    csv_path=None,
-    json_path=None,
     *,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> SweepResult:
@@ -533,66 +488,30 @@ def run_sweep(
 
     ``kind`` is one of "theorem", "cor-abs", "cor-monotone".  Scenario i
     derives from master_seed + i, so results are order-independent and
-    reproducible.  Optionally writes one CSV summary row per scenario and
-    a JSON detail file.
+    reproducible.  :func:`sweep_details` turns the result into JSON.
     """
     if kind not in ("theorem", "cor-abs", "cor-monotone"):
         raise ValueError(f"unknown sweep kind {kind!r}")
     certs = []
-    for i in range(count):
-        seed = master_seed + i
+    for seed in range(master_seed, master_seed + count):
         scn = embedded_scenario(seed, monotone=(kind == "cor-monotone"))
-        label = f"{kind}-seed-{seed}"
+        args = (scn.model, scn.rigging, scn.lam, scn.direction)
+        common = dict(scenario=f"{kind}-seed-{seed}", cross_check=False, tols=tols)
         if kind == "theorem":
-            cert = verify_regular_direction_theorem(
-                scn.model, scn.rigging, scn.lam, scn.direction,
-                scenario=label, cross_check=False, tols=tols,
-            )
+            certs.append(verify_regular_direction_theorem(*args, **common))
         elif kind == "cor-abs":
-            cert = verify_cor_abs(
-                scn.model, scn.rigging, scn.lam, scn.direction,
-                scenario=label, cross_check=False, tols=tols,
-            )
+            certs.append(verify_cor_abs(*args, **common))
         else:
-            cert = verify_cor_monotone(
-                scn.model, scn.rigging, scn.lam, scn.direction, scn.direction_tilde,
-                scenario=label, cross_check=False, tols=tols,
-            )
-        certs.append(cert)
+            certs.append(verify_cor_monotone(*args, scn.direction_tilde, **common))
     vacuous = sum(1 for c in certs if c.vacuous)
-    failures = sum(1 for c in certs if not c.passed)
-    result = SweepResult(
+    return SweepResult(
         kind=kind,
         master_seed=master_seed,
         certificates=tuple(certs),
         established=count - vacuous,
         vacuous=vacuous,
-        failures=failures,
+        failures=sum(1 for c in certs if not c.passed),
     )
-    if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(sweep_csv(result))
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(sweep_details(result), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return result
-
-
-def sweep_csv(result: SweepResult) -> str:
-    """One summary row per scenario."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["index", "scenario", "established", "passed", "witness", "conclusion_witness"])
-    for i, cert in enumerate(result.certificates):
-        witness = cert.premise.witness_coupling if isinstance(cert.premise, Regular) else ""
-        cw = (
-            cert.conclusion.witness_coupling
-            if isinstance(cert.conclusion, Regular)
-            else ""
-        )
-        writer.writerow([i, cert.scenario, not cert.vacuous, cert.passed, witness, cw])
-    return buf.getvalue()
 
 
 def sweep_details(result: SweepResult) -> dict:

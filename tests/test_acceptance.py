@@ -122,7 +122,7 @@ def test_04_resonance_ground_truth():
 def test_05_embedded_eigenvalue_scenario():
     """Base limit diverges (exponent ~1); T(H_1) = [[0,1],[1,2i]]; resonances {0} x2."""
     model, rig = embedded()
-    base = lap.boundary_limit(model, rig, 0.0)
+    base = perturb.boundary_limit(model, rig, 0.0)
     assert isinstance(base, lap.Diverged)
     assert 0.9 <= base.blowup_exponent <= 1.1
 

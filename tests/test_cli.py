@@ -162,6 +162,30 @@ class TestCommands:
         assert len(table) == 1 and table[0]["multiplicity"] == 1
         assert abs(table[0]["r"] - 2.2360680) <= 1e-6
 
+    def test_limit_at_exact_resonance(self):
+        # T_{3+i0} = -1/sqrt(5): the anchor sqrt(5) is a coupling resonance
+        scn = dataclasses.replace(load("lattice_lambda3_scan.json"), anchors=(np.sqrt(5.0),))
+        report, code = cli.run_scenario(scn, "limit")
+        assert code == 0
+        result = report["result"]
+        assert result["outcome"] == "at_resonance" and result["method"] == "exact"
+        assert result["sigma_min"] <= 1e-12
+        assert result["extrapolation"]["outcome"] in ("converged", "diverged", "inconclusive")
+        assert "value" not in result
+
+    def test_sweep_lambda_at_exact_resonance(self):
+        scn = dataclasses.replace(
+            load("lattice_lambda3_scan.json"),
+            anchors=(np.sqrt(5.0),),
+            sweep=scenario.SweepSpec(axis="lambda", start=2.5, stop=3.5, points=3),
+        )
+        report, code = cli.run_scenario(scn, "limit")
+        assert code == 0
+        rows = report["result"]["rows"]
+        assert [row["verdict"] for row in rows] == ["converged", "at_resonance", "converged"]
+        assert [row["at_resonance"] for row in rows] == [False, True, False]
+        assert rows[1]["t_norm"] is None
+
     def test_scan_disagreement_is_inconclusive(self, monkeypatch):
         real = cli.regular_direction
 
@@ -300,7 +324,7 @@ class TestEmission:
 
     def test_wall_clock_not_in_canonical_report(self):
         report, _ = cli.run_scenario(load("lattice_limit.json"), "limit")
-        assert report["wall_clock_ms"] is None
+        assert "wall_clock_ms" not in report
 
 
 class TestEndToEnd:
@@ -356,13 +380,23 @@ class TestEndToEnd:
             "--window=-4:4",
             "--anchors", "0,1",
             "--tol", "1e-7",
-            "--seed", "42",
         )
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["effective"]["window"] == [-4.0, 4.0]
         assert report["effective"]["anchors"] == [0.0, 1.0]
-        assert report["effective"]["seed"] == 42
+        assert report["effective"]["tol"] == 1e-7
+
+    def test_seed_is_not_an_option(self):
+        proc = run_cli(
+            "--scenario", str(SCENARIOS / "lattice_limit.json"), "--command", "limit", "--seed", "42"
+        )
+        assert proc.returncode == 2
+        doc = json.loads((SCENARIOS / "lattice_limit.json").read_text())
+        doc["seed"] = 1
+        with pytest.raises(ScenarioError) as err:
+            scenario.parse_scenario(doc)
+        assert err.value.path == "/seed"
 
     def test_import_pulls_in_numpy_alone(self):
         code = (

@@ -132,17 +132,3 @@ class TestExtrapolateLimit:
                 kinds.append(type(out).__name__)
             assert kinds[0] == kinds[1]
 
-
-class TestBoundaryLimit:
-    def test_exact_route(self, lattice_delta0):
-        model, rig = lattice_delta0
-        out = lap.boundary_limit(model, rig, 0.0)
-        assert isinstance(out, lap.Converged)
-        assert out.method == "exact" and out.error_estimate == 0.0
-        np.testing.assert_allclose(out.value, [[0.5j]], rtol=0, atol=1e-14)
-
-    def test_numeric_route_divergence(self, embedded_model):
-        model, rig = embedded_model
-        out = lap.boundary_limit(model, rig, 0.0)
-        assert isinstance(out, lap.Diverged)
-        assert 0.9 <= out.blowup_exponent <= 1.1

@@ -104,6 +104,37 @@ class TestPerturbedResolvent:
             assert np.linalg.eigvalsh(matkit.im_part(t))[0] >= -1e-10 * norm
 
 
+class TestBoundaryLimit:
+    def test_exact_route(self, lattice_delta0):
+        model, rig = lattice_delta0
+        out = perturb.boundary_limit(model, rig, 0.0)
+        assert isinstance(out, lap.Converged)
+        assert out.method == "exact" and out.error_estimate == 0.0
+        np.testing.assert_allclose(out.value, [[0.5j]], rtol=0, atol=1e-14)
+
+    def test_exact_route_with_coupling(self):
+        # two channels at lam = 0.7 inside the band, coupled by a Hermitian a
+        model = models.FreeLattice1D()
+        rig = models.lattice_rigging({0: 1.0}, {1: 0.5, 2: 1j})
+        a = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
+        out = perturb.boundary_limit(model, rig, 0.7, a)
+        assert isinstance(out, lap.Converged) and out.method == "exact"
+        expected = perturb.perturbed_resolvent(models.boundary_exact(model, rig, 0.7), a)
+        np.testing.assert_allclose(out.value, expected, rtol=0, atol=1e-14)
+
+    def test_exact_route_at_resonance_raises(self, lattice_delta0):
+        # T_{3+i0} = -1/sqrt(5), so the coupling sqrt(5) is a resonance
+        model, rig = lattice_delta0
+        with pytest.raises(AtResonance):
+            perturb.boundary_limit(model, rig, 3.0, np.array([[SQ5]]))
+
+    def test_numeric_route_divergence(self, embedded_model):
+        model, rig = embedded_model
+        out = perturb.boundary_limit(model, rig, 0.0)
+        assert isinstance(out, lap.Diverged)
+        assert 0.9 <= out.blowup_exponent <= 1.1
+
+
 class TestCoupledT:
     def test_zero_coupling(self, embedded_model, swap_direction):
         model, rig = embedded_model

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,27 @@ class TestRegularDirectionTheorem:
         assert cert.conclusion is None
 
 
+class TestVacuousCertificates:
+    def test_three_claims_share_one_shape(self, embedded_model):
+        # diag(1, 0) and 0 leave the embedded point untouched: no premise
+        model, rig = embedded_model
+        unseen = perturb.Direction(np.diag([1.0, 0.0]))
+        certs = [
+            verify.verify_regular_direction_theorem(model, rig, 0.0, perturb.Direction.zero(2)),
+            verify.verify_cor_abs(model, rig, 0.0, unseen),
+            verify.verify_cor_monotone(model, rig, 0.0, unseen, perturb.Direction(np.eye(2))),
+        ]
+        assert [c.claim for c in certs] == [
+            "regular-direction-theorem", "corollary-abs", "corollary-monotone"
+        ]
+        for cert in certs:
+            assert isinstance(cert.premise, perturb.NotObserved)
+            assert cert.conclusion_direction is not None
+            assert (cert.vacuous, cert.passed, cert.conclusion) == (True, True, None)
+            assert cert.notes == ("premise unestablished",)
+            assert cert.projected_resonances is None
+
+
 class TestCorollaryAbs:
     def test_swap_direction(self, embedded_model, swap_direction):
         model, rig = embedded_model
@@ -274,18 +297,13 @@ class TestSweeps:
             established += isinstance(verdict, perturb.Regular)
         assert established >= 16
 
-    def test_run_sweep_writes_files(self, tmp_path):
-        csv_path = tmp_path / "sweep.csv"
-        json_path = tmp_path / "sweep.json"
-        res = verify.run_sweep("theorem", count=5, csv_path=csv_path, json_path=json_path)
+    def test_sweep_details(self):
+        res = verify.run_sweep("theorem", count=5)
         assert res.count == 5 and res.failures == 0
-        lines = csv_path.read_text().strip().splitlines()
-        assert len(lines) == 6  # header + one row per scenario
-        assert lines[0].startswith("index,scenario,established")
-        import json as json_mod
-
-        detail = json_mod.loads(json_path.read_text())
+        detail = verify.sweep_details(res)
         assert detail["count"] == 5 and len(detail["scenarios"]) == 5
+        assert detail["scenarios"][0]["scenario"] == f"theorem-seed-{verify.MASTER_SEED}"
+        assert json.loads(json.dumps(detail)) == detail
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
