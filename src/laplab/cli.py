@@ -43,9 +43,10 @@ from .perturb import (
     Direction,
     Regular,
     ResonanceReport,
+    _coupled,
     _limit_from,
+    _samples,
     boundary_limit,
-    coupled_samples,
     finite_perturbed_hamiltonian,
     perturbed_resolvent,
     regular_direction,
@@ -151,7 +152,7 @@ def _certificate_dict(cert: TheoremCertificate) -> dict:
         "vacuous": bool(cert.vacuous),
         "notes": list(cert.notes),
         "premise_direction": _matrix(cert.premise_direction.j),
-        "premise": _verdict_dict(cert.premise),
+        "premise": None if cert.premise is None else _verdict_dict(cert.premise),
         "conclusion_direction": None
         if cert.conclusion_direction is None
         else _matrix(cert.conclusion_direction.j),
@@ -283,36 +284,41 @@ def _require_direction(scn: Scenario, command: str) -> Direction:
     return scn.direction
 
 
-def _cmd_limit(scn: Scenario, tols) -> tuple[dict, int]:
+def _j_or_identity(scn: Scenario) -> np.ndarray:
+    """The scenario's J; a scenario without ``J`` couples by the identity."""
+    if scn.direction is not None:
+        return scn.direction.j
+    return np.eye(channel_count(scn.rigging))
+
+
+def _cmd_limit(scn: Scenario) -> tuple[dict, int]:
     """The limit at the first anchor; with an exact base value, both routes."""
     r0 = scn.anchors[0]
-    a = r0 * scn.direction.j if scn.direction is not None else None
+    a = r0 * _j_or_identity(scn)
     result = {"kind": "limit", "coupling": float(r0)}
     try:
-        samples = coupled_samples(scn.model, scn.rigging, scn.lam, a, scn.grid, tols=tols)
+        samples = _coupled(_samples(scn.model, scn.rigging, scn.lam, scn.grid), a)
     except GridEvaluationError as exc:
         result.update(outcome="error", error=str(exc))
         return result, _EXIT_INCONCLUSIVE
-    numeric = extrapolate_limit(samples, scn.tol, tols=tols)
+    numeric = extrapolate_limit(samples, scn.tol)
     result["norms_trace"] = [[float(y), float(np.linalg.norm(v, 2))] for y, v in samples]
-    base = boundary_exact(scn.model, scn.rigging, scn.lam, tols=tols)
+    base = boundary_exact(scn.model, scn.rigging, scn.lam)
     if base is None:
         result.update(_limit_dict(numeric))
         return result, _EXIT_INCONCLUSIVE if isinstance(numeric, Inconclusive) else _EXIT_OK
     try:
-        exact = _limit_from(base, scn.model, scn.rigging, scn.lam, a, scn.grid, scn.tol, tols)
-        result.update(_limit_dict(exact))
+        result.update(_limit_dict(_limit_from(base, a, scn.tol)))
     except AtResonance as exc:
         result.update(outcome="at_resonance", method="exact", sigma_min=float(exc.sigma_min))
     result["extrapolation"] = _limit_dict(numeric)
     return result, _EXIT_OK
 
 
-def _cmd_scan(scn: Scenario, tols) -> tuple[dict, int]:
+def _cmd_scan(scn: Scenario) -> tuple[dict, int]:
     direction = _require_direction(scn, "scan")
     verdict = regular_direction(
-        scn.model, scn.rigging, scn.lam, direction,
-        scn.anchors, scn.grid, scn.tol, scn.window, tols=tols,
+        scn.model, scn.rigging, scn.lam, direction, scn.anchors, scn.grid, scn.tol, scn.window,
     )
     result = {"kind": "scan", "verdict": _verdict_dict(verdict)}
     agreed = isinstance(verdict, Regular) and verdict.resonances.scan_agrees
@@ -320,9 +326,9 @@ def _cmd_scan(scn: Scenario, tols) -> tuple[dict, int]:
     return result, code
 
 
-def _cmd_verify(scn: Scenario, command: str, tols) -> tuple[dict, int]:
+def _cmd_verify(scn: Scenario, command: str) -> tuple[dict, int]:
     direction = _require_direction(scn, command)
-    kwargs = dict(anchors=scn.anchors, grid=scn.grid, window=scn.window, tols=tols)
+    kwargs = dict(anchors=scn.anchors, grid=scn.grid, window=scn.window)
     if command == "verify-thm":
         cert = verify_regular_direction_theorem(scn.model, scn.rigging, scn.lam, direction, **kwargs)
     elif command == "verify-cor-abs":
@@ -335,24 +341,17 @@ def _cmd_verify(scn: Scenario, command: str, tols) -> tuple[dict, int]:
                 scn.model, scn.rigging, scn.lam, direction, scn.direction_tilde, **kwargs
             )
         except InvalidPremise as exc:
-            result = {
-                "kind": "certificate",
-                "certificate": {
-                    "claim": "corollary-monotone",
-                    "scenario": "",
-                    "passed": False,
-                    "vacuous": False,
-                    "notes": [f"invalid premise: {exc}"],
-                },
-            }
-            return result, _EXIT_FAILED
+            cert = TheoremCertificate(
+                "corollary-monotone", "", direction, scn.direction_tilde, None, None,
+                vacuous=False, passed=False, notes=(f"invalid premise: {exc}",),
+            )
     result = {"kind": "certificate", "certificate": _certificate_dict(cert)}
     if cert.vacuous:
         return result, _EXIT_INCONCLUSIVE
     return result, _EXIT_OK if cert.passed else _EXIT_FAILED
 
 
-def _cmd_flow(scn: Scenario, tols) -> tuple[dict, int]:
+def _cmd_flow(scn: Scenario) -> tuple[dict, int]:
     if not isinstance(scn.model, FiniteHermitian) or not isinstance(scn.rigging, FiniteRigging):
         raise ScenarioError("/model/type", "flow needs a finite_hermitian model")
     direction = _require_direction(scn, "flow")
@@ -361,7 +360,7 @@ def _cmd_flow(scn: Scenario, tols) -> tuple[dict, int]:
     r_from, r_to = scn.flow
     v = finite_perturbed_hamiltonian(scn.model, scn.rigging, direction.j) - scn.model.h
     v = 0.5 * (v + v.conj().T)
-    flow = spectral_flow_finite(scn.model.h, v, scn.lam, r_from, r_to, tols=tols)
+    flow = spectral_flow_finite(scn.model.h, v, scn.lam, r_from, r_to)
     w_from = np.linalg.eigvalsh(scn.model.h + r_from * v)
     w_to = np.linalg.eigvalsh(scn.model.h + r_to * v)
     result = {
@@ -376,12 +375,12 @@ def _cmd_flow(scn: Scenario, tols) -> tuple[dict, int]:
     return result, _EXIT_OK
 
 
-def _row(axis: str, value: float, t: np.ndarray | None, tj_ref: np.ndarray | None, verdict: str, tols) -> dict:
+def _row(axis: str, value: float, t: np.ndarray | None, tj_ref: np.ndarray | None, verdict: str) -> dict:
     if t is None:
         t_norm = im_min = sigma = float("inf")
     else:
         t_norm = matkit.operator_norm(t)
-        im_min = matkit.min_eig_hermitian(matkit.im_part(t), tols=tols)
+        im_min = matkit.min_eig_hermitian(matkit.im_part(t))
         sigma = (
             matkit.smallest_singular(np.eye(t.shape[0]) + tj_ref)
             if tj_ref is not None
@@ -395,69 +394,69 @@ def _row(axis: str, value: float, t: np.ndarray | None, tj_ref: np.ndarray | Non
         "im_t_min_eig": float(im_min) if np.isfinite(im_min) else None,
         "criterion_sigma_min": float(sigma) if np.isfinite(sigma) else None,
         "verdict": verdict,
-        "at_resonance": verdict == "at_resonance" or bool(finite and sigma < tols.sigma_dip),
+        "at_resonance": verdict == "at_resonance" or bool(finite and sigma < DEFAULT_TOLERANCES.sigma_dip),
     }
 
 
-def sweep_grid(scn: Scenario, command: str, tols=DEFAULT_TOLERANCES) -> tuple[dict, int]:
+def sweep_grid(scn: Scenario, command: str) -> tuple[dict, int]:
     """Run a parameter sweep; one row per grid point, deterministic order.
 
-    Row semantics by axis: "lambda" re-runs the limit at each lambda;
-    "r" / "t" move the coupling of J (respectively of F*F) relative to the
-    first convergent anchor, transporting the anchor limit through the
-    identity; "y" records raw samples T(lambda + iy).  The criterion
-    column is sigma_min(1 + (r - r0) T J) for coupling axes and
-    sigma_min(1 + T J) otherwise (J = identity when the scenario has none).
+    Every axis couples by J, which is the identity when the scenario has
+    none.  Row semantics by axis: "lambda" re-runs the limit at each
+    lambda with coupling r0 J (r0 the first anchor); "r" moves the
+    coupling of J relative to the first convergent anchor, transporting
+    the anchor limit through the identity; "y" records the samples
+    T(lambda + iy) coupled by r0 J.  The criterion column is
+    sigma_min(1 + (r - r0) T J) for the "r" axis and sigma_min(1 + T J)
+    otherwise.
     """
     spec = scn.sweep
     assert spec is not None
     values = np.linspace(spec.start, spec.stop, spec.points)
-    k = channel_count(scn.rigging)
-    j = scn.direction.j if scn.direction is not None else np.eye(k)
+    j = _j_or_identity(scn)
     rows = []
-    if spec.axis in ("r", "t"):
-        jj = j if spec.axis == "r" else np.eye(k)
+    if spec.axis == "r":
         anchor_verdict = regular_direction(
-            scn.model, scn.rigging, scn.lam, Direction(jj),
-            scn.anchors, scn.grid, scn.tol, scn.window, cross_check=False, tols=tols,
+            scn.model, scn.rigging, scn.lam, Direction(j),
+            scn.anchors, scn.grid, scn.tol, scn.window, cross_check=False,
         )
         if not isinstance(anchor_verdict, Regular):
             raise ScenarioError("/sweep", "no convergent anchor for the coupling sweep")
         r0 = anchor_verdict.witness_coupling
         t0 = anchor_verdict.limit
         for r in values:
-            tj = (r - r0) * (t0 @ jj)
+            tj = (r - r0) * (t0 @ j)
             try:
-                t_r = perturbed_resolvent(t0, (r - r0) * jj, tols=tols)
-                rows.append(_row(spec.axis, r, t_r, tj, "converged", tols))
+                t_r = perturbed_resolvent(t0, (r - r0) * j)
+                rows.append(_row("r", r, t_r, tj, "converged"))
             except AtResonance:
-                rows.append(_row(spec.axis, r, t0, tj, "at_resonance", tols))
+                rows.append(_row("r", r, t0, tj, "at_resonance"))
     elif spec.axis == "lambda":
         a = scn.anchors[0] * j
         for lam in values:
             try:
-                outcome = boundary_limit(scn.model, scn.rigging, float(lam), a, scn.grid, scn.tol, tols=tols)
+                outcome = boundary_limit(scn.model, scn.rigging, float(lam), a, scn.grid, scn.tol)
                 verdict = type(outcome).__name__.lower()  # converged | diverged | inconclusive
             except AtResonance:
                 verdict = "at_resonance"
             except GridEvaluationError:
                 verdict = "error"
             t = outcome.value if verdict == "converged" else None
-            rows.append(_row("lambda", lam, t, None if t is None else t @ j, verdict, tols))
+            rows.append(_row("lambda", lam, t, None if t is None else t @ j, verdict))
     else:  # axis == "y"
-        r0 = scn.anchors[0]
+        a = scn.anchors[0] * j
         for y in values:
-            base = sandwiched_resolvent(scn.model, scn.rigging, complex(scn.lam, y), tols=tols)
+            base = sandwiched_resolvent(scn.model, scn.rigging, complex(scn.lam, y))
             try:
-                t = perturbed_resolvent(base, r0 * j, tols=tols) if scn.direction is not None else base
-                rows.append(_row("y", y, t, t @ j, "value", tols))
+                t = perturbed_resolvent(base, a)
+                rows.append(_row("y", y, t, t @ j, "value"))
             except AtResonance:
-                rows.append(_row("y", y, None, None, "at_resonance", tols))
+                rows.append(_row("y", y, None, None, "at_resonance"))
     result = {"kind": "sweep", "axis": spec.axis, "command": command, "rows": rows}
     return result, _EXIT_OK
 
 
-def run_scenario(scn: Scenario, command: str, *, tols=DEFAULT_TOLERANCES) -> tuple[dict, int]:
+def run_scenario(scn: Scenario, command: str) -> tuple[dict, int]:
     """Dispatch a validated scenario to its command implementation.
 
     Returns (report, exit_code).  Domain errors surface as exit-code-2
@@ -467,15 +466,15 @@ def run_scenario(scn: Scenario, command: str, *, tols=DEFAULT_TOLERANCES) -> tup
 
     try:
         if scn.sweep is not None and command in ("limit", "scan"):
-            result, code = sweep_grid(scn, command, tols=tols)
+            result, code = sweep_grid(scn, command)
         elif command == "limit":
-            result, code = _cmd_limit(scn, tols)
+            result, code = _cmd_limit(scn)
         elif command == "scan":
-            result, code = _cmd_scan(scn, tols)
+            result, code = _cmd_scan(scn)
         elif command in ("verify-thm", "verify-cor-abs", "verify-cor-mono"):
-            result, code = _cmd_verify(scn, command, tols)
+            result, code = _cmd_verify(scn, command)
         elif command == "flow":
-            result, code = _cmd_flow(scn, tols)
+            result, code = _cmd_flow(scn)
         else:
             raise ScenarioError("", f"unknown command {command!r}")
     except ScenarioError as exc:

@@ -1,14 +1,16 @@
 """Central tolerance record and numeric defaults.
 
-Every module pulls its thresholds from one frozen :class:`Tolerances`
-instance so that a scenario can override them in a single place.  All
-relative tolerances are taken against the operator (spectral) norm of the
-matrix they guard.
+Every module reads its thresholds from the one frozen
+:data:`DEFAULT_TOLERANCES` instance at call time; no function takes them
+as an argument.  The only threshold a scenario sets is the extrapolation
+tolerance (scenario key ``tol``, flag ``--tol``), passed on as ``tol``.
+All relative tolerances are taken against the operator (spectral) norm of
+the matrix they guard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,6 @@ class Tolerances:
     extrapolation_tol: float = 1e-6
     blowup_exponent_min: float = 0.5
     eigengap_rtol: float = 1e-6
-
-    def with_overrides(self, **kwargs: float) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLERANCES = Tolerances()

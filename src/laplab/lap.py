@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import GridEvaluationError, LapLabError
 from .models import HalfPlanePoint
 
@@ -110,8 +110,6 @@ def _fit_blowup(ys: np.ndarray, norms: np.ndarray) -> float:
 def extrapolate_limit(
     samples: Sequence[tuple[float, np.ndarray]],
     tol: float | None = None,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> BoundaryLimit:
     """Classify the y -> 0+ behaviour of a sampled matrix family.
 
@@ -119,7 +117,7 @@ def extrapolate_limit(
     depend on input order.  Needs at least 4 samples.
     """
     if tol is None:
-        tol = tols.extrapolation_tol
+        tol = DEFAULT_TOLERANCES.extrapolation_tol
     if len(samples) < 4:
         raise ValueError("need at least 4 samples to extrapolate")
     ordered = sorted(samples, key=lambda item: -item[0])
@@ -132,7 +130,7 @@ def extrapolate_limit(
 
     exponent = _fit_blowup(ys, norms)
     increasing = bool((np.diff(norms) > 0).all())
-    if increasing and exponent >= tols.blowup_exponent_min:
+    if increasing and exponent >= DEFAULT_TOLERANCES.blowup_exponent_min:
         return Diverged(blowup_exponent=exponent, norms_trace=trace)
 
     # Neville table toward y = 0, processed sample by sample; diagonal

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import ConvergenceFailure, NotHermitian, NotPSD, SingularMatrix
 
 
@@ -36,23 +36,23 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
-def is_hermitian(m, rtol: float = DEFAULT_TOLERANCES.hermitian_rtol) -> bool:
+def is_hermitian(m) -> bool:
     a = as_square(m)
     scale = float(np.abs(a).max()) if a.size else 0.0
     diff = float(np.abs(a - a.conj().T).max())
     if scale == 0.0:
         return diff == 0.0
-    return diff <= rtol * scale
+    return diff <= DEFAULT_TOLERANCES.hermitian_rtol * scale
 
 
-def require_hermitian(m, rtol: float = DEFAULT_TOLERANCES.hermitian_rtol) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     a = as_square(m)
-    if not is_hermitian(a, rtol):
+    if not is_hermitian(a):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     return a
 
 
-def solve_linear(m, b, *, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def solve_linear(m, b) -> np.ndarray:
     """Solve M X = B for square M, rejecting numerically singular systems.
 
     Raises ``SingularMatrix`` when the smallest singular value of M is at
@@ -63,10 +63,9 @@ def solve_linear(m, b, *, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"shapes not conformable: {a.shape} vs {rhs.shape}")
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= tols.solve_singular_rtol * svals[0]:
-        raise SingularMatrix(
-            f"sigma_min={svals[-1]:.3e} <= {tols.solve_singular_rtol:g} * sigma_max={svals[0]:.3e}"
-        )
+    rtol = DEFAULT_TOLERANCES.solve_singular_rtol
+    if svals[-1] <= rtol * svals[0]:
+        raise SingularMatrix(f"sigma_min={svals[-1]:.3e} <= {rtol:g} * sigma_max={svals[0]:.3e}")
     return np.linalg.solve(a, rhs)
 
 
@@ -85,12 +84,12 @@ def eig_general(m) -> np.ndarray:
     return vals[order]
 
 
-def eig_hermitian(m, *, tols: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition M = U diag(w) U* of a Hermitian matrix.
 
     Returns (w ascending, U with orthonormal columns).
     """
-    a = require_hermitian(m, tols.hermitian_rtol)
+    a = require_hermitian(m)
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -98,15 +97,15 @@ def eig_hermitian(m, *, tols: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarr
     return w, u
 
 
-def psd_sqrt(m, *, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Hermitian PSD square root.
 
     Eigenvalues in ``[-psd_clamp_rtol * ||M||, 0)`` are clamped to zero;
     anything lower raises ``NotPSD``.
     """
-    w, u = eig_hermitian(m, tols=tols)
+    w, u = eig_hermitian(m)
     scale = float(np.abs(w).max()) if w.size else 0.0
-    band = tols.psd_clamp_rtol * scale
+    band = DEFAULT_TOLERANCES.psd_clamp_rtol * scale
     if w.size and w[0] < -band:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below -{band:.3e}")
     w = np.clip(w, 0.0, None)
@@ -114,9 +113,9 @@ def psd_sqrt(m, *, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     return 0.5 * (r + r.conj().T)
 
 
-def abs_hermitian(j, *, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def abs_hermitian(j) -> np.ndarray:
     """|J| = U diag(|w|) U* for Hermitian J."""
-    w, u = eig_hermitian(j, tols=tols)
+    w, u = eig_hermitian(j)
     a = (u * np.abs(w)) @ u.conj().T
     return 0.5 * (a + a.conj().T)
 
@@ -151,7 +150,7 @@ def smallest_singular_triplet(m) -> tuple[float, np.ndarray, np.ndarray]:
     return float(ss[-1]), uu[:, -1], vh[-1].conj()
 
 
-def min_eig_hermitian(m, *, tols: Tolerances = DEFAULT_TOLERANCES) -> float:
+def min_eig_hermitian(m) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    w, _ = eig_hermitian(m, tols=tols)
+    w, _ = eig_hermitian(m)
     return float(w[0])

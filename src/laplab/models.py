@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from . import matkit
-from .config import DEFAULT_TOLERANCES, DEFAULT_TRUNCATION_SITES, Tolerances
+from .config import DEFAULT_TRUNCATION_SITES
 from .errors import BoundaryOutsideAC
 
 _BAND_EDGE_TOL = 1e-12
@@ -260,13 +260,7 @@ def _block_diagonal(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def sandwiched_resolvent(
-    model: OperatorModel,
-    rigging: Rigging,
-    z,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+def sandwiched_resolvent(model: OperatorModel, rigging: Rigging, z) -> np.ndarray:
     """Evaluate T_z = F (H - z)^-1 F* as a k-by-k array.
 
     ``z`` may be a :class:`HalfPlanePoint` or any non-real complex number
@@ -280,7 +274,7 @@ def sandwiched_resolvent(
     if isinstance(model, FiniteHermitian):
         f = rigging.matrix
         shifted = model.h - zc * np.eye(model.n)
-        x = matkit.solve_linear(shifted, f.conj().T, tols=tols)
+        x = matkit.solve_linear(shifted, f.conj().T)
         return f @ x
     if isinstance(model, FreeLattice1D):
         chans = rigging.channels
@@ -295,18 +289,12 @@ def sandwiched_resolvent(
                 t[p, q] = acc
         return t
     return _block_diagonal(
-        sandwiched_resolvent(model.left, rigging.left, zc, tols=tols),
-        sandwiched_resolvent(model.right, rigging.right, zc, tols=tols),
+        sandwiched_resolvent(model.left, rigging.left, zc),
+        sandwiched_resolvent(model.right, rigging.right, zc),
     )
 
 
-def boundary_exact(
-    model: OperatorModel,
-    rigging: Rigging,
-    lam: float,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray | None:
+def boundary_exact(model: OperatorModel, rigging: Rigging, lam: float) -> np.ndarray | None:
     """Exact boundary value T_{lam + i0} where analytically available.
 
     Returns ``None`` ("absent") when no closed form applies -- lattice band
@@ -319,17 +307,17 @@ def boundary_exact(
     if isinstance(model, FreeLattice1D):
         if abs(abs(lam) - 2.0) <= _BAND_EDGE_TOL:
             return None
-        return sandwiched_resolvent(model, rigging, complex(lam, 0.0), tols=tols)
+        return sandwiched_resolvent(model, rigging, complex(lam, 0.0))
     if isinstance(model, FiniteHermitian):
         w = np.linalg.eigvalsh(model.h)
         scale = max(1.0, float(np.abs(w).max()) if w.size else 0.0)
         if w.size and np.abs(w - lam).min() <= 1e-10 * scale:
             return None
-        return sandwiched_resolvent(model, rigging, complex(lam, 0.0), tols=tols)
-    left = boundary_exact(model.left, rigging.left, lam, tols=tols)
+        return sandwiched_resolvent(model, rigging, complex(lam, 0.0))
+    left = boundary_exact(model.left, rigging.left, lam)
     if left is None:
         return None
-    right = boundary_exact(model.right, rigging.right, lam, tols=tols)
+    right = boundary_exact(model.right, rigging.right, lam)
     if right is None:
         return None
     return _block_diagonal(left, right)

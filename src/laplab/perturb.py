@@ -5,10 +5,12 @@ resolvent identity collapses to k-by-k algebra:
 
     T_z(H + F* A F) = [1 + T_z(H) A]^-1 T_z(H).
 
-Everything in this module is built on that identity.  The boundary value
-at a coupling follows one rule (:func:`boundary_limit`): exact through the
-identity when the base model has a closed form, otherwise extrapolated
-from y-samples of the coupled resolvent.  A coupling r is a
+Everything in this module is built on that identity.  The uncoupled
+boundary data at lam is fixed once: the exact T_{lam+i0} when the base
+model has a closed form, otherwise the y-samples of T_{lam+iy}.  Every
+coupling is applied to that data through the identity, to the exact value
+or sample by sample before extrapolation (:func:`boundary_limit`); the
+kernel is never evaluated again for another coupling.  A coupling r is a
 *resonance* (relative to a convergent anchor r0) exactly when
 1 + (r - r0) T J is singular, which happens at r = r0 - 1/mu for the real
 nonzero eigenvalues mu of T J.  The eigenvalue route is exact; a smallest-
@@ -30,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .config import (
-    DEFAULT_ANCHORS,
-    DEFAULT_TOLERANCES,
-    DEFAULT_WINDOW,
-    Tolerances,
-)
+from .config import DEFAULT_ANCHORS, DEFAULT_TOLERANCES, DEFAULT_WINDOW
 from .errors import AtResonance, EndpointOnSpectrum, GridEvaluationError
 from .lap import (
     DEFAULT_GRID,
@@ -138,45 +135,35 @@ class ExistenceCertificate:
         return self.exists
 
 
-def perturbed_resolvent(
-    t: np.ndarray,
-    a: np.ndarray,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+def perturbed_resolvent(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Apply the resolvent identity: T -> [1 + T A]^-1 T.
 
     ``AtResonance`` is raised when 1 + T A is numerically singular; that is
     a mathematical statement about the coupling, not a numerical fault.
     """
     t = matkit.as_square(t)
-    a = matkit.require_hermitian(a, tols.hermitian_rtol)
+    a = matkit.require_hermitian(a)
     if a.shape != t.shape:
         raise ValueError(f"shapes differ: T {t.shape} vs A {a.shape}")
     ta = t @ a
     m = np.eye(t.shape[0]) + ta
     sigma = matkit.smallest_singular(m)
-    if sigma <= tols.invertibility_rtol * (1.0 + matkit.operator_norm(ta)):
+    if sigma <= DEFAULT_TOLERANCES.invertibility_rtol * (1.0 + matkit.operator_norm(ta)):
         raise AtResonance(sigma)
     return np.linalg.solve(m, t)
 
 
-def exists_at_coupling(
-    t_limit: np.ndarray,
-    delta_a: np.ndarray,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> ExistenceCertificate:
+def exists_at_coupling(t_limit: np.ndarray, delta_a: np.ndarray) -> ExistenceCertificate:
     """Does the boundary value survive the additional perturbation delta_a?
 
     True (with a sigma_min certificate) when 1 + T delta_a is invertible;
     false with a Fredholm null-vector certificate otherwise.
     """
     t_limit = matkit.as_square(t_limit)
-    delta_a = matkit.require_hermitian(delta_a, tols.hermitian_rtol)
+    delta_a = matkit.require_hermitian(delta_a)
     m = t_limit @ delta_a
     op = np.eye(m.shape[0]) + m
-    threshold = tols.criterion_rtol * (1.0 + matkit.operator_norm(m))
+    threshold = DEFAULT_TOLERANCES.criterion_rtol * (1.0 + matkit.operator_norm(m))
     sigma, _, v = matkit.smallest_singular_triplet(op)
     if sigma > threshold:
         return ExistenceCertificate(exists=True, sigma_min=sigma)
@@ -276,7 +263,6 @@ def resonance_couplings(
     *,
     limit_error: float = 0.0,
     cross_check: bool = True,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> ResonanceReport:
     """Enumerate resonance couplings of ``direction`` relative to ``anchor``.
 
@@ -294,11 +280,13 @@ def resonance_couplings(
     tj = t_limit @ direction.j
     mu = matkit.eig_general(tj)
     floor = 10.0 * np.sqrt(max(limit_error, 0.0))
-    radius = np.maximum(tols.resonance_cluster_rtol * (1.0 + np.abs(mu)), floor)
+    radius = np.maximum(DEFAULT_TOLERANCES.resonance_cluster_rtol * (1.0 + np.abs(mu)), floor)
     zero_tol = 1e-12 * (1.0 + matkit.operator_norm(tj))
+    imag_rtol = DEFAULT_TOLERANCES.resonance_imag_rtol
+    sigma_dip = DEFAULT_TOLERANCES.sigma_dip
 
     def is_real(m: complex) -> bool:
-        return abs(m.imag) <= tols.resonance_imag_rtol * (1.0 + abs(m))
+        return abs(m.imag) <= imag_rtol * (1.0 + abs(m))
 
     candidates: list[tuple[complex, int]] = []
     for members in _cluster_eigenvalues(mu, radius):
@@ -312,14 +300,14 @@ def resonance_couplings(
         if abs(m) <= zero_tol:
             continue
         r = anchor - (1.0 / m).real
-        if lo <= r <= hi and _criterion_sigma(tj, r - anchor) < tols.sigma_dip:
+        if lo <= r <= hi and _criterion_sigma(tj, r - anchor) < sigma_dip:
             found.append(Resonance(coupling=float(r), multiplicity=multiplicity))
     found.sort(key=lambda res: res.coupling)
 
     dips = None
     agrees = None
     if cross_check:
-        dips = _scan_dips(tj, anchor, (lo, hi), tols.sigma_dip)
+        dips = _scan_dips(tj, anchor, (lo, hi), sigma_dip)
         agrees = all(
             any(abs(d - res.coupling) <= 1e-5 * (1.0 + abs(res.coupling)) for res in found)
             for d in dips
@@ -328,45 +316,58 @@ def resonance_couplings(
         anchor=float(anchor),
         resonances=tuple(found),
         window=(lo, hi),
-        imag_tolerance=tols.resonance_imag_rtol,
+        imag_tolerance=imag_rtol,
         scan_dips=dips,
         scan_agrees=agrees,
     )
 
 
-def coupled_samples(
-    model: OperatorModel,
-    rigging: Rigging,
-    lam: float,
-    a: np.ndarray | None = None,
-    grid: YGrid = DEFAULT_GRID,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> list[tuple[float, np.ndarray]]:
-    """Samples of T_{lam+iy}(H + F* a F) on the y-grid, largest y first.
+Samples = list[tuple[float, np.ndarray]]
+#: The uncoupled boundary data at lam: the exact T_{lam+i0}, or the y-samples.
+BoundaryData = np.ndarray | Samples
 
-    ``a=None`` means no coupling.  A failed sample (``AtResonance`` among
-    them) raises :class:`GridEvaluationError`.
+
+def _samples(model: OperatorModel, rigging: Rigging, lam: float, grid: YGrid) -> Samples:
+    """Samples of the uncoupled T_{lam+iy} on the y-grid, largest y first.
+
+    A failed sample raises :class:`GridEvaluationError`.
     """
-
-    def coupled(pt):
-        base = sandwiched_resolvent(model, rigging, pt, tols=tols)
-        return base if a is None else perturbed_resolvent(base, a, tols=tols)
-
-    return evaluate_on_grid(coupled, lam, grid)
+    return evaluate_on_grid(lambda pt: sandwiched_resolvent(model, rigging, pt), lam, grid)
 
 
-def _limit_from(base, model, rigging, lam, a, grid, tol, tols) -> BoundaryLimit:
-    """The boundary value of H + F* a F at lam, given ``base = boundary_exact(...)``.
+def _boundary_data(model: OperatorModel, rigging: Rigging, lam: float, grid: YGrid) -> BoundaryData:
+    """The exact T_{lam+i0} when :func:`boundary_exact` has it, else the y-samples."""
+    exact = boundary_exact(model, rigging, lam)
+    return exact if exact is not None else _samples(model, rigging, lam, grid)
 
-    Exact through the identity when the base value is known, otherwise the
-    extrapolated coupled samples.  ``AtResonance`` (exact route) and
-    ``GridEvaluationError`` (numeric route) propagate.
+
+def _coupled(samples: Samples, a: np.ndarray) -> Samples:
+    """Each sample of T(H) taken to T(H + F* a F) through the identity.
+
+    ``AtResonance`` at a sample y raises :class:`GridEvaluationError` at y,
+    as a failed kernel evaluation does in :func:`evaluate_on_grid`.
     """
-    if base is not None:
-        value = base if a is None else perturbed_resolvent(base, a, tols=tols)
+    out = []
+    for y, t in samples:
+        try:
+            out.append((y, perturbed_resolvent(t, a)))
+        except AtResonance as exc:
+            raise GridEvaluationError(y, f"evaluation failed at y={y!r}: {exc}") from exc
+    return out
+
+
+def _limit_from(data: BoundaryData, a: np.ndarray | None, tol: float | None) -> BoundaryLimit:
+    """The boundary value of H + F* a F, given the uncoupled ``data`` of H.
+
+    Exact through the identity when ``data`` is the exact base value,
+    otherwise the extrapolated coupled samples; ``a=None`` means no
+    coupling.  ``AtResonance`` (exact route) and ``GridEvaluationError``
+    (numeric route) propagate.
+    """
+    if isinstance(data, np.ndarray):
+        value = data if a is None else perturbed_resolvent(data, a)
         return Converged(value=value, error_estimate=0.0, method="exact")
-    return extrapolate_limit(coupled_samples(model, rigging, lam, a, grid, tols=tols), tol, tols=tols)
+    return extrapolate_limit(data if a is None else _coupled(data, a), tol)
 
 
 def boundary_limit(
@@ -376,16 +377,13 @@ def boundary_limit(
     a: np.ndarray | None = None,
     grid: YGrid = DEFAULT_GRID,
     tol: float | None = None,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> BoundaryLimit:
     """Boundary value T_{lam+i0}(H + F* a F): exact where available, else numeric.
 
     Raises ``AtResonance`` when the exact route finds 1 + T a singular, and
     ``GridEvaluationError`` when a y-sample fails.
     """
-    base = boundary_exact(model, rigging, lam, tols=tols)
-    return _limit_from(base, model, rigging, lam, a, grid, tol, tols)
+    return _limit_from(_boundary_data(model, rigging, lam, grid), a, tol)
 
 
 def regular_direction(
@@ -399,27 +397,31 @@ def regular_direction(
     window: tuple[float, float] = DEFAULT_WINDOW,
     *,
     cross_check: bool = True,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> RegularityVerdict:
     """Decide whether V = F* J F is a regular direction at lam.
 
     Anchors are tried in order; the first coupling with a convergent
     boundary value T_{lam+i0}(H_r) wins and its resonance report is
-    attached.  When the base model has an exact boundary value the limit
-    at the anchor follows through the identity; otherwise the coupled
-    resolvent is extrapolated numerically.  ``NotObserved`` collects one
-    diagnostic per failed anchor and is evidence of absence, not absence
-    of the limit.
+    attached.  The uncoupled boundary data is built once, before the
+    anchor loop, and each anchor is coupled to it through the identity:
+    exactly when the base model has an exact boundary value, otherwise
+    sample by sample and extrapolated.  When an uncoupled sample fails at
+    some y, every anchor records ``error`` at that y.  ``NotObserved``
+    collects one diagnostic per failed anchor and is evidence of absence,
+    not absence of the limit.
     """
     if not anchors:
         raise ValueError("anchor list must be nonempty")
     if direction.k != channel_count(rigging):
         raise ValueError("direction size does not match the channel count")
-    base = boundary_exact(model, rigging, lam, tols=tols)
+    try:
+        data = _boundary_data(model, rigging, lam, grid)
+    except GridEvaluationError as exc:
+        return NotObserved(tuple(AnchorAttempt(r0, "error", float(exc.y)) for r0 in anchors))
     attempts: list[AnchorAttempt] = []
     for r0 in anchors:
         try:
-            outcome = _limit_from(base, model, rigging, lam, r0 * direction.j, grid, tol, tols)
+            outcome = _limit_from(data, r0 * direction.j, tol)
         except AtResonance as exc:
             attempts.append(AnchorAttempt(r0, "at_resonance", exc.sigma_min))
             continue
@@ -434,7 +436,6 @@ def regular_direction(
                 anchor=r0,
                 limit_error=outcome.error_estimate,
                 cross_check=cross_check,
-                tols=tols,
             )
             return Regular(
                 witness_coupling=float(r0),
@@ -460,7 +461,6 @@ def is_semi_regular(
     window: tuple[float, float] = DEFAULT_WINDOW,
     *,
     cross_check: bool = True,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> RegularityVerdict:
     """Test the canonical direction F* F (J = identity).
 
@@ -470,7 +470,7 @@ def is_semi_regular(
     direction = Direction.identity(channel_count(rigging))
     return regular_direction(
         model, rigging, lam, direction, anchors, grid, tol, window,
-        cross_check=cross_check, tols=tols,
+        cross_check=cross_check,
     )
 
 
@@ -492,8 +492,6 @@ def spectral_flow_finite(
     lam: float,
     r_from: float,
     r_to: float,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> int:
     """Net eigenvalue flow of H0 + r V through lam as r goes r_from -> r_to.
 
@@ -501,8 +499,8 @@ def spectral_flow_finite(
     lam, so an upward crossing contributes +1.  Endpoints must keep their
     spectrum away from lam.
     """
-    h0 = matkit.require_hermitian(h0, tols.hermitian_rtol)
-    v = matkit.require_hermitian(v, tols.hermitian_rtol)
+    h0 = matkit.require_hermitian(h0)
+    v = matkit.require_hermitian(v)
     counts = []
     for r in (r_from, r_to):
         w = np.linalg.eigvalsh(h0 + r * v)

@@ -9,7 +9,7 @@ Schema (complex numbers are two-element arrays ``[re, im]``)::
                   "split": <channels going to the left summand>},
       "rigging": {"channels": [ {"sites": [[site, [re,im]], ...]}
                               | {"row": [[re,im], ...]} , ...]},
-      "J":       [[[re,im], ...], ...],          # optional, Hermitian
+      "J":       [[[re,im], ...], ...],          # optional, Hermitian (default identity)
       "Jtilde":  [[[re,im], ...], ...],          # optional, Hermitian
       "lambda":  number,
       "grid":    {"y0": number, "q": number, "n": int},      # optional
@@ -17,14 +17,17 @@ Schema (complex numbers are two-element arrays ``[re, im]``)::
       "window":  [number, number],                           # optional
       "tol":     {"extrapolation": number},                  # optional
       "flow":    {"r_from": number, "r_to": number},         # optional
-      "sweep":   {"axis": "lambda"|"r"|"t"|"y",
+      "sweep":   {"axis": "lambda"|"r"|"y",
                   "start": number, "stop": number, "points": int}  # optional
     }
 
 Channels are listed flat; a ``direct_sum`` node sends its first ``split``
-channels to the left summand.  Validation failures raise
-:class:`~laplab.errors.ScenarioError` with a JSON-pointer style path and
-never reach computation.
+channels to the left summand.  A scenario without ``J`` couples by the
+identity in ``limit`` and in every sweep; ``scan``, ``flow`` and the
+verifiers require ``J``.  ``tol`` sets the extrapolation tolerance only;
+every other threshold is fixed in :mod:`laplab.config`.  Validation
+failures raise :class:`~laplab.errors.ScenarioError` with a JSON-pointer
+style path and never reach computation.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .models import (
 from .perturb import Direction
 
 _MODEL_TYPES = ("finite_hermitian", "free_lattice_1d", "direct_sum")
-_AXES = ("lambda", "r", "t", "y")
+_AXES = ("lambda", "r", "y")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matkit
-from .config import DEFAULT_ANCHORS, DEFAULT_TOLERANCES, DEFAULT_WINDOW, Tolerances
+from .config import DEFAULT_ANCHORS, DEFAULT_TOLERANCES, DEFAULT_WINDOW
 from .errors import DegenerateEigenvalue, InvalidPremise, NotSingular, SBelowNorm
 from .lap import DEFAULT_GRID, YGrid
 from .models import (
@@ -57,11 +57,7 @@ class NullCertificate:
     residual: float
 
 
-def null_vector_certificate(
-    m: np.ndarray,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> NullCertificate:
+def null_vector_certificate(m: np.ndarray) -> NullCertificate:
     """Fredholm alternative witness for a singular 1 + M.
 
     The vector is the right singular vector of the smallest singular value.
@@ -69,7 +65,7 @@ def null_vector_certificate(
     """
     m = matkit.as_square(m)
     op = np.eye(m.shape[0]) + m
-    threshold = tols.null_residual_rtol * (1.0 + matkit.operator_norm(m))
+    threshold = DEFAULT_TOLERANCES.null_residual_rtol * (1.0 + matkit.operator_norm(m))
     sigma, _, v = matkit.smallest_singular_triplet(op)
     if sigma > threshold:
         raise NotSingular(f"sigma_min={sigma:.3e} above threshold {threshold:.3e}")
@@ -107,20 +103,14 @@ class AnalyticPath:
         return acc
 
 
-def hellmann_feynman_derivative(
-    path: AnalyticPath,
-    s0: float,
-    which: int,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def hellmann_feynman_derivative(path: AnalyticPath, s0: float, which: int) -> float:
     """d/ds of the ``which``-th eigenvalue (ascending) of N_s at s0.
 
     Computed as <phi, N'_{s0} phi> with phi the unit eigenvector; equals
     the derivative of the eigenvalue branch as long as it is simple.
     """
     n = path.value(s0)
-    w, u = matkit.eig_hermitian(n, tols=tols)
+    w, u = matkit.eig_hermitian(n)
     if not 0 <= which < len(w):
         raise ValueError(f"eigenvalue index {which} out of range")
     gap = np.inf
@@ -129,8 +119,9 @@ def hellmann_feynman_derivative(
     if which < len(w) - 1:
         gap = min(gap, w[which + 1] - w[which])
     scale = matkit.operator_norm(n)
-    if gap < tols.eigengap_rtol * max(scale, 1e-300):
-        raise DegenerateEigenvalue(f"gap {gap:.3e} below {tols.eigengap_rtol:g} * ||N||")
+    rtol = DEFAULT_TOLERANCES.eigengap_rtol
+    if gap < rtol * max(scale, 1e-300):
+        raise DegenerateEigenvalue(f"gap {gap:.3e} below {rtol:g} * ||N||")
     phi = u[:, which]
     return float(np.real(phi.conj() @ path.derivative(s0) @ phi))
 
@@ -162,8 +153,6 @@ def proof_chain_check(
     direction: Direction,
     r: float,
     s: float,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProofChainReport:
     """Replay the singular-point algebra for 1 + r T (s - J).
 
@@ -185,10 +174,10 @@ def proof_chain_check(
     weight = s * np.eye(j.shape[0]) - j
     m = r * t_limit @ weight
     sigma = matkit.smallest_singular(np.eye(m.shape[0]) + m)
-    threshold = tols.null_residual_rtol * (1.0 + matkit.operator_norm(m))
+    threshold = DEFAULT_TOLERANCES.null_residual_rtol * (1.0 + matkit.operator_norm(m))
     if sigma > threshold:
         im_t = matkit.im_part(t_limit)
-        if matkit.min_eig_hermitian(im_t, tols=tols) > 1e-8 * max(
+        if matkit.min_eig_hermitian(im_t) > 1e-8 * max(
             matkit.operator_norm(t_limit), 1e-300
         ):
             # strict Herglotz positivity: no real coupling can be singular
@@ -198,7 +187,7 @@ def proof_chain_check(
         raise NotSingular(
             f"1 + r T (s - J) is invertible at r={r!r}, s={s!r} (sigma_min={sigma:.3e})"
         )
-    root = matkit.psd_sqrt(weight, tols=tols)
+    root = matkit.psd_sqrt(weight)
     m_sym = r * root @ t_limit @ root
     _, _, psi = matkit.smallest_singular_triplet(np.eye(m_sym.shape[0]) + m_sym)
     eq1 = float(np.linalg.norm(m_sym @ psi + psi))
@@ -221,13 +210,17 @@ def proof_chain_check(
 
 @dataclass(frozen=True, eq=False)
 class TheoremCertificate:
-    """Premise/conclusion evidence for one implication on one scenario."""
+    """Premise/conclusion evidence for one implication on one scenario.
+
+    ``premise`` is None only when the claim's hypothesis failed before any
+    verdict ran (an invalid premise).
+    """
 
     claim: str
     scenario: str
     premise_direction: Direction
     conclusion_direction: Direction | None
-    premise: RegularityVerdict
+    premise: RegularityVerdict | None
     conclusion: RegularityVerdict | None
     vacuous: bool
     passed: bool
@@ -247,7 +240,6 @@ def _certify(
     window: tuple[float, float],
     scenario: str,
     cross_check: bool,
-    tols: Tolerances,
 ) -> TheoremCertificate:
     """Premise verdict, then conclusion verdict: passed when the conclusion is regular.
 
@@ -258,7 +250,7 @@ def _certify(
     def verdict(direction: Direction) -> RegularityVerdict:
         return regular_direction(
             model, rigging, lam, direction, anchors, grid, None, window,
-            cross_check=cross_check, tols=tols,
+            cross_check=cross_check,
         )
 
     premise = verdict(premise_dir)
@@ -285,13 +277,12 @@ def verify_regular_direction_theorem(
     *,
     scenario: str = "",
     cross_check: bool = True,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> TheoremCertificate:
     """Premise: J regular at lam.  Conclusion: F*F regular at lam."""
     return _certify(
         "regular-direction-theorem", model, rigging, lam, direction,
         Direction.identity(channel_count(rigging)), anchors, grid, window,
-        scenario, cross_check, tols,
+        scenario, cross_check,
     )
 
 
@@ -300,8 +291,6 @@ def _projected_resonances(
     j_psd: np.ndarray,
     window: tuple[float, float],
     anchor: float,
-    *,
-    tols: Tolerances,
 ) -> tuple[ResonanceReport, int]:
     """Resonance analysis restricted to the range of a singular PSD matrix.
 
@@ -309,9 +298,9 @@ def _projected_resonances(
     weight is invertible; nonzero eigenvalues are preserved, so this is
     the k'-by-k' form of the same criterion.
     """
-    w, u = matkit.eig_hermitian(j_psd, tols=tols)
+    w, u = matkit.eig_hermitian(j_psd)
     scale = float(np.abs(w).max()) if w.size else 0.0
-    keep = w > tols.psd_clamp_rtol * max(scale, 1e-300)
+    keep = w > DEFAULT_TOLERANCES.psd_clamp_rtol * max(scale, 1e-300)
     basis = u[:, keep]
     rank = int(keep.sum())
     if rank == 0:
@@ -320,16 +309,14 @@ def _projected_resonances(
                 anchor=float(anchor),
                 resonances=(),
                 window=window,
-                imag_tolerance=tols.resonance_imag_rtol,
+                imag_tolerance=DEFAULT_TOLERANCES.resonance_imag_rtol,
             ),
             0,
         )
     t_proj = basis.conj().T @ t_limit @ basis
     d_proj = basis.conj().T @ j_psd @ basis
     d_proj = 0.5 * (d_proj + d_proj.conj().T)
-    report = resonance_couplings(
-        t_proj, Direction(d_proj), window, anchor, cross_check=False, tols=tols
-    )
+    report = resonance_couplings(t_proj, Direction(d_proj), window, anchor, cross_check=False)
     return report, rank
 
 
@@ -344,7 +331,6 @@ def verify_cor_abs(
     *,
     scenario: str = "",
     cross_check: bool = True,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> TheoremCertificate:
     """Premise: J regular.  Conclusion: |J| regular.
 
@@ -352,20 +338,20 @@ def verify_cor_abs(
     restricted to the range of |J| (the weight is invertible there); the
     projected report is attached to the certificate.
     """
-    abs_j = matkit.abs_hermitian(direction.j, tols=tols)
+    abs_j = matkit.abs_hermitian(direction.j)
     cert = _certify(
         "corollary-abs", model, rigging, lam, direction, Direction(abs_j),
-        anchors, grid, window, scenario, cross_check, tols,
+        anchors, grid, window, scenario, cross_check,
     )
     if not isinstance(cert.conclusion, Regular):
         return cert
-    rank_deficient = matkit.smallest_singular(abs_j) <= tols.psd_clamp_rtol * max(
+    rank_deficient = matkit.smallest_singular(abs_j) <= DEFAULT_TOLERANCES.psd_clamp_rtol * max(
         matkit.operator_norm(abs_j), 1e-300
     )
     if not rank_deficient:
         return cert
     projected, rank = _projected_resonances(
-        cert.conclusion.limit, abs_j, window, cert.conclusion.witness_coupling, tols=tols
+        cert.conclusion.limit, abs_j, window, cert.conclusion.witness_coupling
     )
     return replace(
         cert,
@@ -386,21 +372,20 @@ def verify_cor_monotone(
     *,
     scenario: str = "",
     cross_check: bool = True,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> TheoremCertificate:
     """Premise: J >= 0 regular.  Conclusion: any J~ >= J is regular too."""
     j = direction.j
     jt = direction_tilde.j
     norm_j = max(matkit.operator_norm(j), 1e-300)
-    if matkit.min_eig_hermitian(j, tols=tols) < -1e-10 * norm_j:
+    if matkit.min_eig_hermitian(j) < -1e-10 * norm_j:
         raise InvalidPremise("J is not positive semidefinite")
     diff = jt - j
     norm_diff = max(matkit.operator_norm(diff), matkit.operator_norm(jt), 1e-300)
-    if matkit.min_eig_hermitian(diff, tols=tols) < -1e-10 * norm_diff:
+    if matkit.min_eig_hermitian(diff) < -1e-10 * norm_diff:
         raise InvalidPremise("J~ - J is not positive semidefinite")
     return _certify(
         "corollary-monotone", model, rigging, lam, direction, direction_tilde,
-        anchors, grid, window, scenario, cross_check, tols,
+        anchors, grid, window, scenario, cross_check,
     )
 
 
@@ -481,8 +466,6 @@ def run_sweep(
     kind: str,
     count: int = 100,
     master_seed: int = MASTER_SEED,
-    *,
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> SweepResult:
     """Run a randomized certificate sweep.
 
@@ -496,7 +479,7 @@ def run_sweep(
     for seed in range(master_seed, master_seed + count):
         scn = embedded_scenario(seed, monotone=(kind == "cor-monotone"))
         args = (scn.model, scn.rigging, scn.lam, scn.direction)
-        common = dict(scenario=f"{kind}-seed-{seed}", cross_check=False, tols=tols)
+        common = dict(scenario=f"{kind}-seed-{seed}", cross_check=False)
         if kind == "theorem":
             certs.append(verify_regular_direction_theorem(*args, **common))
         elif kind == "cor-abs":

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laplab import cli, scenario
+from laplab import cli, models, perturb, scenario
 from laplab.errors import ScenarioError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -113,6 +113,18 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError) as err:
             scenario.parse_scenario(doc)
         assert err.value.path == "/grid"
+
+    def test_sweep_axis_t_is_removed(self, tmp_path):
+        # "t" was the "r" axis with J = identity, which "r" now uses when J is absent
+        doc = self.base_doc()
+        doc["sweep"] = {"axis": "t", "start": -1.0, "stop": 1.0, "points": 3}
+        with pytest.raises(ScenarioError) as err:
+            scenario.parse_scenario(doc)
+        assert err.value.path == "/sweep/axis"
+        path = tmp_path / "axis_t.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("--scenario", str(path), "--command", "limit")
+        assert proc.returncode == 2 and "/sweep/axis" in proc.stderr
 
     def test_fuzzed_documents_never_reach_computation(self):
         rng = np.random.default_rng(998)
@@ -230,6 +242,43 @@ class TestCommands:
         cert = report["result"]["certificate"]
         assert not cert["passed"]
         assert any("invalid premise" in note for note in cert["notes"])
+
+    def test_invalid_premise_certificate_has_common_shape(self):
+        report, _ = cli.run_scenario(load("cor_mono_invalid.json"), "verify-cor-mono")
+        cert = report["result"]["certificate"]
+        other, _ = cli.run_scenario(load("lattice_cor_mono.json"), "verify-cor-mono")
+        assert sorted(cert) == sorted(other["result"]["certificate"])
+        assert cert["scenario"] == other["result"]["certificate"]["scenario"]
+        assert (cert["premise"], cert["conclusion"]) == (None, None)
+        assert cert["premise_direction"] == [[[1.0, 0.0]]]
+        assert cert["conclusion_direction"] == [[[0.5, 0.0]]]
+
+    def test_limit_without_j_couples_by_identity(self):
+        # T_{0+i0} = i/2, so T(H + F*F) = (i/2) / (1 + i/2) = 0.2 + 0.4i
+        scn = dataclasses.replace(load("lattice_limit.json"), anchors=(1.0,))
+        report, code = cli.run_scenario(scn, "limit")
+        assert code == 0
+        result = report["result"]
+        assert result["coupling"] == 1.0 and result["method"] == "exact"
+        expected = perturb.perturbed_resolvent(
+            models.boundary_exact(scn.model, scn.rigging, 0.0), np.eye(1)
+        )
+        value = complex(*result["value"][0][0])
+        assert value == complex(expected[0, 0])
+        assert abs(value - (0.2 + 0.4j)) <= 1e-15
+        swept = dataclasses.replace(
+            scn, sweep=scenario.SweepSpec(axis="lambda", start=-1.0, stop=1.0, points=3)
+        )
+        rows = cli.run_scenario(swept, "limit")[0]["result"]["rows"]
+        assert rows[1]["value"] == 0.0 and rows[1]["t_norm"] == pytest.approx(abs(value), abs=1e-15)
+        y_swept = dataclasses.replace(
+            scn, sweep=scenario.SweepSpec(axis="y", start=0.5, stop=0.25, points=2)
+        )
+        rows = cli.run_scenario(y_swept, "limit")[0]["result"]["rows"]
+        for row in rows:
+            t = models.sandwiched_resolvent(scn.model, scn.rigging, complex(0.0, row["value"]))
+            coupled = perturb.perturbed_resolvent(t, np.eye(1))
+            assert row["t_norm"] == pytest.approx(abs(coupled[0, 0]), abs=1e-15)
 
     def test_scan_requires_direction(self):
         report, code = cli.run_scenario(load("lattice_limit.json"), "scan")

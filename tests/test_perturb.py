@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from laplab import lap, matkit, models, perturb
-from laplab.errors import AtResonance, EndpointOnSpectrum, NotHermitian
+from laplab.errors import (
+    AtResonance,
+    EndpointOnSpectrum,
+    GridEvaluationError,
+    NotHermitian,
+    SingularMatrix,
+)
 
 from conftest import random_finite_pair, random_hermitian
 
@@ -242,12 +250,13 @@ class TestResonanceCouplings:
         np.testing.assert_allclose(found, expected, rtol=1e-12, atol=0)
         assert report.scan_agrees
 
-    def test_scan_reports_missed_resonance(self):
+    def test_scan_reports_missed_resonance(self, monkeypatch):
         # mu = -1/sqrt5 + 1e-10 i fails a reality test tightened to 1e-15,
         # yet sigma_min dips to ~2e-10 at r = sqrt5: the routes disagree
-        tols = perturb.DEFAULT_TOLERANCES.with_overrides(resonance_imag_rtol=1e-15)
+        tight = dataclasses.replace(perturb.DEFAULT_TOLERANCES, resonance_imag_rtol=1e-15)
+        monkeypatch.setattr(perturb, "DEFAULT_TOLERANCES", tight)
         report = perturb.resonance_couplings(
-            np.array([[-1.0 / SQ5 + 1e-10j]]), perturb.Direction(np.array([[1.0]])), tols=tols
+            np.array([[-1.0 / SQ5 + 1e-10j]]), perturb.Direction(np.array([[1.0]]))
         )
         assert report.resonances == ()
         assert len(report.scan_dips) == 1 and abs(report.scan_dips[0] - SQ5) <= 1e-8
@@ -322,6 +331,48 @@ class TestRegularDirection:
         for att in verdict.attempts:
             assert att.outcome == "diverged"
             assert 0.9 <= att.detail <= 1.1
+
+
+class TestSampledOnce:
+    def test_kernel_sampled_once_per_verdict(self, embedded_model, swap_direction, monkeypatch):
+        # anchor 0 diverges and anchor 1 converges: both couple the same samples
+        model, rig = embedded_model
+        calls = []
+        kernel = perturb.sandwiched_resolvent
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(perturb, "sandwiched_resolvent", counted)
+        verdict = perturb.regular_direction(model, rig, 0.0, swap_direction, anchors=(0.0, 1.0))
+        assert isinstance(verdict, perturb.Regular) and verdict.witness_coupling == 1.0
+        assert verdict.method == "extrapolated"
+        assert len(calls) == lap.DEFAULT_GRID.n
+
+    def test_base_sample_failure_fails_every_anchor(self, embedded_model, swap_direction, monkeypatch):
+        model, rig = embedded_model
+        bad_y = lap.DEFAULT_GRID.points()[3]
+        calls = []
+        kernel = perturb.sandwiched_resolvent
+
+        def failing(model_, rigging, pt):
+            calls.append(pt.y)
+            if pt.y == bad_y:
+                raise SingularMatrix("planted failure")
+            return kernel(model_, rigging, pt)
+
+        monkeypatch.setattr(perturb, "sandwiched_resolvent", failing)
+        anchors = (0.0, 1.0, -1.0)
+        verdict = perturb.regular_direction(model, rig, 0.0, swap_direction, anchors=anchors)
+        assert isinstance(verdict, perturb.NotObserved)
+        assert [(a.anchor, a.outcome, a.detail) for a in verdict.attempts] == [
+            (r0, "error", bad_y) for r0 in anchors
+        ]
+        assert calls == list(lap.DEFAULT_GRID.points()[:4])
+        with pytest.raises(GridEvaluationError) as err:
+            perturb.boundary_limit(model, rig, 0.0, swap_direction.j)
+        assert err.value.y == bad_y
 
 
 class TestIsSemiRegular:
