@@ -11,7 +11,9 @@ supported:
 
 * ``FiniteHermitian`` -- an explicit n-by-n Hermitian matrix;
 * ``FreeLattice1D`` -- the hopping operator (H u)_n = u_{n+1} + u_{n-1} on
-  l2(Z), whose resolvent kernel is known in closed form;
+  l2(Z), whose resolvent kernel is known in closed form.  T_z is one matrix
+  product A* G(z) A over amplitudes A and site distances D precomputed per
+  rigging, rounding error about d*u (see :func:`sandwiched_resolvent`);
 * ``DirectSum`` -- block sum of two rigged models, used to plant point
   spectrum inside the lattice band.
 
@@ -24,6 +26,7 @@ tells the caller to fall back on the numeric limit machinery in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -63,37 +66,35 @@ def _as_z(z) -> complex:
     return complex(z)
 
 
-def free_lattice_kernel(z, n: int, m: int) -> complex:
-    """Resolvent kernel <delta_n, (H - z)^-1 delta_m> of the free 1-d lattice.
-
-    For z off the real axis,
-
-        R_z(n, m) = zeta^|n-m| / (zeta - 1/zeta),
-
-    with zeta the root of zeta^2 - z zeta + 1 = 0 of modulus < 1.  On the
-    axis inside the band (|lam| < 2) the continuation from above is used,
-    zeta = (lam - i sqrt(4 - lam^2)) / 2, which keeps Im R >= 0; outside
-    the band (|lam| > 2) both one-sided limits agree and the real root of
-    modulus < 1 applies.  Band edges |lam| = 2 have no boundary value.
-    """
-    zc = _as_z(z)
-    d = abs(int(n) - int(m))
+def _zeta(zc: complex) -> tuple[complex, complex]:
+    """(zeta, zeta - 1/zeta) on the branch of :func:`free_lattice_kernel`."""
     if zc.imag == 0.0:
         lam = zc.real
         if abs(abs(lam) - 2.0) <= _BAND_EDGE_TOL:
             raise BoundaryOutsideAC(f"band edge lam={lam!r}: boundary value diverges")
         if abs(lam) < 2.0:
             s = np.sqrt(4.0 - lam * lam)
-            zeta = complex(lam, -s) / 2.0
-            return zeta**d / complex(0.0, -s)
+            return complex(lam, -s) / 2.0, complex(0.0, -s)
         w = np.sign(lam) * np.sqrt(lam * lam - 4.0)
-        zeta = (lam - w) / 2.0
-        return complex(zeta**d / (-w))
+        return (lam - w) / 2.0, -w
     w = np.sqrt(zc * zc - 4.0)
     if abs(zc + w) < abs(zc - w):
         w = -w
-    zeta = 2.0 / (zc + w)  # stable form of (z - w) / 2
-    return zeta**d / (-w)
+    return 2.0 / (zc + w), -w  # stable form of (z - w) / 2
+
+
+def free_lattice_kernel(z, n: int, m: int) -> complex:
+    """Resolvent kernel <delta_n, (H - z)^-1 delta_m> of the free 1-d lattice.
+
+    R_z(n, m) = zeta^|n-m| / (zeta - 1/zeta), with zeta the root of
+    zeta^2 - z zeta + 1 = 0 of modulus < 1 off the axis.  On the axis
+    inside the band (|lam| < 2), zeta = (lam - i sqrt(4 - lam^2)) / 2 is
+    the continuation from above and keeps Im R >= 0; outside it
+    (|lam| > 2) both one-sided limits agree and the real root of modulus
+    < 1 applies.  Band edges |lam| = 2 raise ``BoundaryOutsideAC``.
+    """
+    zeta, den = _zeta(_as_z(z))
+    return complex(zeta ** abs(int(n) - int(m)) / den)
 
 
 def _normalize_channel(channel) -> tuple[tuple[int, complex], ...]:
@@ -112,7 +113,11 @@ def _normalize_channel(channel) -> tuple[tuple[int, complex], ...]:
 
 @dataclass(frozen=True, eq=False)
 class LatticeRigging:
-    """Channels given as finitely supported sequences over Z."""
+    """Channels given as finitely supported sequences over Z.
+
+    Precomputed on first use for T_z = A* G(z) A: A[s, q], the amplitude of
+    channel q at site s of the sorted site union S, and D = |s_i - s_j|.
+    """
 
     channels: tuple[tuple[tuple[int, complex], ...], ...]
 
@@ -126,6 +131,16 @@ class LatticeRigging:
     @property
     def k(self) -> int:
         return len(self.channels)
+
+    @cached_property
+    def _sandwich(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, D) for the lattice sandwich T_z = A* G(z) A."""
+        sites = np.array(sorted({s for ch in self.channels for s, _ in ch}))
+        amps = np.zeros((len(sites), self.k), dtype=complex)
+        for q, ch in enumerate(self.channels):
+            at, amp = zip(*ch)
+            amps[np.searchsorted(sites, at), q] = amp
+        return amps, np.abs(sites[:, None] - sites[None, :])
 
 
 def lattice_rigging(*channels) -> LatticeRigging:
@@ -268,6 +283,10 @@ def sandwiched_resolvent(model: OperatorModel, rigging: Rigging, z) -> np.ndarra
     checks).  At real z the exact boundary formulas are used and their
     errors propagate: ``SingularMatrix`` when z hits finite spectrum,
     ``BoundaryOutsideAC`` at lattice band edges.
+
+    On the lattice T_z = A* G(z) A, with A and D precomputed per
+    :class:`LatticeRigging` and G = zeta^D / (zeta - 1/zeta); the powers of
+    zeta come from a cumulative product, relative error about d*u at distance d.
     """
     _pair_check(model, rigging)
     zc = _as_z(z)
@@ -277,17 +296,10 @@ def sandwiched_resolvent(model: OperatorModel, rigging: Rigging, z) -> np.ndarra
         x = matkit.solve_linear(shifted, f.conj().T)
         return f @ x
     if isinstance(model, FreeLattice1D):
-        chans = rigging.channels
-        k = len(chans)
-        t = np.zeros((k, k), dtype=complex)
-        for p in range(k):
-            for q in range(k):
-                acc = 0.0 + 0.0j
-                for n, a in chans[p]:
-                    for m, b in chans[q]:
-                        acc += np.conj(a) * b * free_lattice_kernel(zc, n, m)
-                t[p, q] = acc
-        return t
+        amps, dist = rigging._sandwich
+        zeta, den = _zeta(zc)
+        powers = np.cumprod(np.concatenate(([1.0], np.full(dist.max(), zeta))))
+        return amps.conj().T @ (powers[dist] / den) @ amps
     return _block_diagonal(
         sandwiched_resolvent(model.left, rigging.left, zc),
         sandwiched_resolvent(model.right, rigging.right, zc),

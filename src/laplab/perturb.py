@@ -341,12 +341,19 @@ def _boundary_data(model: OperatorModel, rigging: Rigging, lam: float, grid: YGr
     return exact if exact is not None else _samples(model, rigging, lam, grid)
 
 
-def _coupled(samples: Samples, a: np.ndarray) -> Samples:
+def _uncoupled(t: np.ndarray, a: np.ndarray | None) -> bool:
+    """No coupling: ``a`` is None, or has the shape of T and no nonzero entry."""
+    return a is None or (np.shape(a) == t.shape and not np.any(a))
+
+
+def _coupled(samples: Samples, a: np.ndarray | None) -> Samples:
     """Each sample of T(H) taken to T(H + F* a F) through the identity.
 
     ``AtResonance`` at a sample y raises :class:`GridEvaluationError` at y,
     as a failed kernel evaluation does in :func:`evaluate_on_grid`.
     """
+    if _uncoupled(samples[0][1], a):
+        return samples
     out = []
     for y, t in samples:
         try:
@@ -360,14 +367,14 @@ def _limit_from(data: BoundaryData, a: np.ndarray | None, tol: float | None) -> 
     """The boundary value of H + F* a F, given the uncoupled ``data`` of H.
 
     Exact through the identity when ``data`` is the exact base value,
-    otherwise the extrapolated coupled samples; ``a=None`` means no
-    coupling.  ``AtResonance`` (exact route) and ``GridEvaluationError``
-    (numeric route) propagate.
+    otherwise the extrapolated coupled samples; a zero ``a`` or ``a=None``
+    means no coupling.  ``AtResonance`` (exact route) and
+    ``GridEvaluationError`` (numeric route) propagate.
     """
     if isinstance(data, np.ndarray):
-        value = data if a is None else perturbed_resolvent(data, a)
+        value = data if _uncoupled(data, a) else perturbed_resolvent(data, a)
         return Converged(value=value, error_estimate=0.0, method="exact")
-    return extrapolate_limit(data if a is None else _coupled(data, a), tol)
+    return extrapolate_limit(_coupled(data, a), tol)
 
 
 def boundary_limit(

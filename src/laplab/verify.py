@@ -90,17 +90,11 @@ class AnalyticPath:
         object.__setattr__(self, "coefficients", coeffs)
 
     def value(self, s: float) -> np.ndarray:
-        acc = np.zeros_like(self.coefficients[0])
-        for j, a in enumerate(self.coefficients):
-            acc = acc + a * (s**j)
-        return acc
+        return sum(a * (s**j) for j, a in enumerate(self.coefficients))
 
     def derivative(self, s: float) -> np.ndarray:
-        acc = np.zeros_like(self.coefficients[0])
-        for j, a in enumerate(self.coefficients):
-            if j >= 1:
-                acc = acc + j * a * (s ** (j - 1))
-        return acc
+        zero = np.zeros_like(self.coefficients[0])
+        return sum((j * a * (s ** (j - 1)) for j, a in enumerate(self.coefficients) if j >= 1), zero)
 
 
 def hellmann_feynman_derivative(path: AnalyticPath, s0: float, which: int) -> float:

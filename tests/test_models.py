@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from laplab import lap, models
 from laplab.errors import BoundaryOutsideAC, SingularMatrix
@@ -261,3 +263,71 @@ class TestValidation:
             models.HalfPlanePoint(0.0, -0.1)
         pt = models.HalfPlanePoint(1.5, 0.0)
         assert pt.boundary and pt.z == 1.5 + 0.0j
+
+
+# hypothesis property checks -------------------------------------------------
+
+_Y_FLOOR = lap.DEFAULT_GRID.points()[-1]
+_amplitudes = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0)
+
+
+@st.composite
+def _lattice_riggings(draw):
+    """k = 1..8 channels over a shared pool of sites in -200..200."""
+    pool = draw(st.lists(st.integers(-200, 200), min_size=1, max_size=8, unique=True))
+    channel = st.dictionaries(st.sampled_from(pool), _amplitudes, min_size=1, max_size=4)
+    return models.lattice_rigging(*draw(st.lists(channel, min_size=1, max_size=8)))
+
+
+@st.composite
+def _lattice_points(draw):
+    """Off-axis z with y down to the grid floor, or real lam in or outside the band."""
+    kind = draw(st.sampled_from(["upper", "band", "outside"]))
+    if kind == "upper":
+        y = 10.0 ** draw(st.floats(np.log10(_Y_FLOOR), 1.0))
+        return complex(draw(st.floats(-6.0, 6.0)), y)
+    if kind == "band":
+        return complex(draw(st.floats(-2.0 + 1e-9, 2.0 - 1e-9)), 0.0)
+    return complex(draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2.0 + 1e-9, 6.0)), 0.0)
+
+
+def _scalar_sandwich(rigging, z):
+    """T_z by a double loop over free_lattice_kernel, and the sum of |term| per entry."""
+    k = rigging.k
+    t = np.zeros((k, k), dtype=complex)
+    size = np.zeros((k, k))
+    for p, chp in enumerate(rigging.channels):
+        for q, chq in enumerate(rigging.channels):
+            for n, a in chp:
+                for m, b in chq:
+                    term = np.conj(a) * b * models.free_lattice_kernel(z, n, m)
+                    t[p, q] += term
+                    size[p, q] += abs(term)
+    return t, size
+
+
+@settings(max_examples=80, deadline=None)
+@given(rig=_lattice_riggings(), z=_lattice_points())
+@example(rig=models.lattice_rigging({-200: 1.0}, {200: 1j, -200: 0.5}), z=complex(0.3, _Y_FLOOR))
+@example(rig=models.lattice_rigging({-200: 1.0, 200: -1.0}, {0: 1.0}), z=complex(-1.7, 0.0))
+@example(rig=models.lattice_rigging({-150: 1.0}, {150: 2.0}), z=complex(2.5, 0.0))
+def test_lattice_sandwich_matches_scalar_kernel(rig, z):
+    t = models.sandwiched_resolvent(models.FreeLattice1D(), rig, z)
+    oracle, size = _scalar_sandwich(rig, z)
+    # relative to the terms before cancellation: delta_0 + delta_2 has T = 0 at lam = 0
+    tol = 1e-12 * size.max()
+    assert np.abs(t - oracle).max() <= tol
+    # the branch: Im T >= 0 (Herglotz), and outside the band T <= 0 (lam > 2)
+    # or T >= 0 (lam < -2), since H - lam is then negative or positive definite
+    assert np.linalg.eigvalsh((t - t.conj().T) * (-0.5j))[0] >= -tol
+    if z.imag == 0.0 and abs(z.real) > 2.0:
+        assert np.linalg.eigvalsh(-np.sign(z.real) * (t + t.conj().T) / 2)[0] >= -tol
+
+
+@pytest.mark.parametrize("lam", [2.0, -2.0, 2.0 + 1e-13, -2.0 - 1e-13])
+def test_lattice_sandwich_band_edges_raise(lam):
+    rig = models.lattice_rigging({-3: 1.0, 4: 0.5j}, {4: 2.0})
+    with pytest.raises(BoundaryOutsideAC):
+        models.sandwiched_resolvent(models.FreeLattice1D(), rig, complex(lam, 0.0))
+    with pytest.raises(BoundaryOutsideAC):
+        models.sandwiched_resolvent(models.FreeLattice1D(), rig, models.HalfPlanePoint(lam, 0.0))

@@ -375,6 +375,58 @@ class TestSampledOnce:
         assert err.value.y == bad_y
 
 
+class TestZeroCoupling:
+    @staticmethod
+    def _count_identity(monkeypatch):
+        calls = []
+        identity = perturb.perturbed_resolvent
+
+        def counted(t, a):
+            calls.append(a)
+            return identity(t, a)
+
+        monkeypatch.setattr(perturb, "perturbed_resolvent", counted)
+        return calls
+
+    @pytest.mark.parametrize("route", ["exact", "extrapolated", "diverged"])
+    def test_zero_is_no_coupling(self, route, lattice_delta0, embedded_model, monkeypatch):
+        # lam = 0 in each: in the band; on the spectrum but F-orthogonal to
+        # its eigenvector; on the embedded eigenvalue
+        model, rig = {
+            "exact": lattice_delta0,
+            "extrapolated": (
+                models.FiniteHermitian(np.diag([0.0, 1.0])),
+                models.FiniteRigging(np.array([[0.0, 1.0]])),
+            ),
+            "diverged": embedded_model,
+        }[route]
+        uncoupled = perturb.boundary_limit(model, rig, 0.0)
+        calls = self._count_identity(monkeypatch)
+        out = perturb.boundary_limit(model, rig, 0.0, np.zeros((rig.k, rig.k)))
+        assert calls == []
+        if route == "diverged":
+            assert isinstance(out, lap.Diverged) and out == uncoupled
+        else:
+            assert out.method == uncoupled.method == route
+            np.testing.assert_array_equal(out.value, uncoupled.value)
+            assert out.error_estimate == uncoupled.error_estimate
+
+    def test_anchor_zero_makes_no_identity_calls(self, embedded_model, swap_direction, monkeypatch):
+        # anchor 0 diverges without coupling; anchor 1 couples every sample
+        model, rig = embedded_model
+        calls = self._count_identity(monkeypatch)
+        verdict = perturb.regular_direction(model, rig, 0.0, swap_direction, anchors=(0.0, 1.0))
+        assert isinstance(verdict, perturb.Regular) and verdict.witness_coupling == 1.0
+        assert len(calls) == lap.DEFAULT_GRID.n
+        assert all(np.array_equal(a, swap_direction.j) for a in calls)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 3)])
+    def test_zero_of_wrong_shape_raises(self, shape, embedded_model):
+        model, rig = embedded_model
+        with pytest.raises(ValueError):
+            perturb.boundary_limit(model, rig, 0.3, np.zeros(shape))
+
+
 class TestIsSemiRegular:
     def test_lattice(self, lattice_delta0):
         model, rig = lattice_delta0
