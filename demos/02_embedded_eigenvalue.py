@@ -34,7 +34,7 @@ print(np.round(verdict.limit, 9))
 print("resonance report (relative to the witness anchor):")
 for res in verdict.resonances.resonances:
     print(f"  r = {res.coupling:+.2e}   multiplicity {res.multiplicity}")
-print(f"sigma_min scan agrees: {verdict.resonances.scan_agrees}")
+print(f"contour cross-check agrees: {verdict.resonances.scan_agrees}")
 
 print()
 print("=== the canonical direction F*F works too (the theorem's content) ===")

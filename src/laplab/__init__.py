@@ -8,7 +8,7 @@ resonances, and machine-checks the supporting operator identities.
 
 from . import cli, config, errors, lap, matkit, models, perturb, scenario, verify
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "__version__",

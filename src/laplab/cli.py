@@ -3,7 +3,7 @@
 One scenario file in, one report out.  Exit codes: 0 computed (and, for a
 verifier, certified), 1 verification failed, 2 invalid input, 3
 inconclusive (NotObserved / Inconclusive outcomes, vacuous certificates,
-a ``scan`` whose sigma_min dips the eigenvalue route did not report).
+a ``scan`` whose contour cross-check disagrees with the eigenvalue route).
 
 Reports are deterministic: the same scenario and tool version give
 byte-identical output.  Wall-clock time therefore goes to stderr, never
@@ -115,8 +115,9 @@ def _resonances_dict(report: ResonanceReport) -> dict:
             for res in report.resonances
         ],
     }
-    if report.scan_dips is not None:
-        out["scan_dips"] = [float(r) for r in report.scan_dips]
+    if report.scan_agrees is not None:
+        out["missed"] = [float(r) for r in report.missed]
+        out["root_count"] = report.root_count
         out["scan_agrees"] = bool(report.scan_agrees)
     return out
 

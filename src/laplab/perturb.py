@@ -13,16 +13,22 @@ or sample by sample before extrapolation (:func:`boundary_limit`); the
 kernel is never evaluated again for another coupling.  A coupling r is a
 *resonance* (relative to a convergent anchor r0) exactly when
 1 + (r - r0) T J is singular, which happens at r = r0 - 1/mu for the real
-nonzero eigenvalues mu of T J.  The eigenvalue route is exact; a smallest-
-singular-value scan over the coupling window is kept as a cross-check.
+nonzero eigenvalues mu of T J.
 
 Multiple eigenvalues of T J split like the square root of the data error
 under rounding, so eigenvalues are grouped into clusters.  A cluster with
 a real mean (= block trace / size, accurate to first order) is one
 resonance of multiplicity equal to its size; otherwise each real member
 counts once.  Every candidate must push sigma_min of the criterion operator
-below ``sigma_dip`` before it is reported, so the scan can only add dips
-the eigenvalue route missed.
+below ``sigma_dip`` before it is reported.
+
+The cross-check counts the zeros of det(1 + (r - r0) T J) in a box about
+the coupling window without the eigenvalues, by the argument principle
+with one ``slogdet`` per contour node (Kravanja & Van Barel,
+*Computing the Zeros of Analytic Functions*, LNM 1727, 2000; Ying & Katz,
+Numer. Math. 53, 1988).  The count must match the eigenvalue route's
+roots in the box, and every root the route did not report is tested on
+sigma_min, so a dropped resonance is named.
 """
 
 from __future__ import annotations
@@ -84,13 +90,18 @@ class Resonance:
 
 @dataclass(frozen=True)
 class ResonanceReport:
-    """Resonance couplings of a direction relative to a convergent anchor."""
+    """Resonance couplings of a direction relative to a convergent anchor.
+
+    ``missed``, ``root_count`` and ``scan_agrees`` come from the contour
+    cross-check of :func:`resonance_couplings` and are None without it.
+    """
 
     anchor: float
     resonances: tuple[Resonance, ...]
     window: tuple[float, float]
     imag_tolerance: float
-    scan_dips: tuple[float, ...] | None = None
+    missed: tuple[float, ...] | None = None
+    root_count: int | None = None
     scan_agrees: bool | None = None
 
 
@@ -185,10 +196,10 @@ def _cluster_eigenvalues(
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(mu[i] - mu[j]) <= max(radius_of[i], radius_of[j]):
-                parent[find(i)] = find(j)
+    rows, cols = np.nonzero(np.abs(mu[:, None] - mu) <= np.maximum.outer(radius_of, radius_of))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i < j:
+            parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -216,69 +227,123 @@ def _golden_section(f, a: float, b: float, xatol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_dips(
+#: Nodes per edge of the counting box before any halving.
+_EDGE_NODES = 64
+#: Halving levels after which an unresolved segment makes the count inconclusive.
+_MAX_HALVINGS = 40
+
+
+def _arg_change(sign_at, nodes: np.ndarray) -> float | None:
+    """Change of a continuous argument of f along the path through ``nodes``.
+
+    ``sign_at`` maps an array of path points to f/|f|, and to 0 where f
+    vanishes; ``nodes`` has odd length and is evaluated first, so each
+    segment from ``nodes[2i]`` to ``nodes[2i+2]`` starts with its midpoint
+    known.  A segment is accepted when its phase step and the steps of both
+    its halves are at most pi/4, so that the halves sum to its own step: a
+    phase that turns by a further 2 pi inside the segment shows in its
+    halves.  Otherwise the halves are new segments.  All midpoints of one
+    halving level go to ``sign_at`` in one call.  None when f vanishes at a
+    node or a segment is still unresolved after ``_MAX_HALVINGS`` levels.
+    """
+    signs = sign_at(nodes)
+    if not signs.all():
+        return None
+    a, m, b = nodes[:-1:2], nodes[1::2], nodes[2::2]
+    sa, sm, sb = signs[:-1:2], signs[1::2], signs[2::2]
+    total = 0.0
+    for _ in range(_MAX_HALVINGS):
+        step = np.angle(sb * sa.conj())
+        halves = np.maximum(np.abs(np.angle(sm * sa.conj())), np.abs(np.angle(sb * sm.conj())))
+        ok = np.maximum(np.abs(step), halves) <= np.pi / 4
+        total += float(step[ok].sum())
+        split = ~ok
+        if not split.any():
+            return total
+        a, b = np.concatenate((a[split], m[split])), np.concatenate((m[split], b[split]))
+        sa, sb = np.concatenate((sa[split], sm[split])), np.concatenate((sm[split], sb[split]))
+        m = 0.5 * (a + b)
+        sm = sign_at(m)
+        if not sm.all():
+            return None
+    return None
+
+
+def _contour_count(tj: np.ndarray, anchor: float, box: tuple[float, float, float]) -> int | None:
+    """Zeros of det(1 + (r - anchor) T J) inside the box, by the argument principle.
+
+    ``box = (left, right, h)`` is the rectangle [left, right] x [-h, h] of
+    the complex r-plane, run counterclockwise.  None when the count is
+    inconclusive: a zero on a node, an unresolved segment, or a winding
+    number that is not near an integer.
+    """
+    left, right, h = box
+    corners = np.array([left - 1j * h, right - 1j * h, right + 1j * h, left + 1j * h, left - 1j * h])
+    s = np.arange(_EDGE_NODES) / _EDGE_NODES
+    nodes = np.concatenate([c + s * (d - c) for c, d in zip(corners[:-1], corners[1:])] + [corners[-1:]])
+    k = tj.shape[0]
+
+    def sign_at(r: np.ndarray) -> np.ndarray:
+        stack = np.multiply.outer(r - anchor, tj)
+        stack.reshape(len(r), k * k)[:, :: k + 1] += 1.0
+        return np.linalg.slogdet(stack)[0]
+
+    change = _arg_change(sign_at, nodes)
+    if change is None:
+        return None
+    n = change / (2.0 * np.pi)
+    return int(round(n)) if abs(n - round(n)) <= 1e-6 else None
+
+
+def _missed_couplings(
     tj: np.ndarray,
     anchor: float,
     window: tuple[float, float],
-    dip: float,
+    roots: np.ndarray,
+    found: list[Resonance],
 ) -> tuple[float, ...]:
-    """Grid scan of sigma_min(1 + (r - anchor) T J), refined at local minima.
+    """Couplings in the window where sigma_min dips but no resonance was reported.
 
-    sigma_min is ||TJ||-Lipschitz in r (Weyl), so with the step
-    max(1e-3, 0.2/||TJ||) every root has a grid point with sigma_min <= 0.1,
-    the refinement threshold, within half a step when ||TJ|| <= 200.
+    Each root with its real part in the window and not within
+    1e-5 (1 + |r|) of a reported coupling r is refined by golden section of
+    sigma_min(1 + (x - anchor) T J) over Re root +- max(|Im root|,
+    1e-5 (1 + |Re root|)), clipped to the window.  The minimiser x is a miss
+    when sigma_min(x) is below ``sigma_dip`` and below both ends of that
+    interval (not a point on the slope of a reported dip), and x is not
+    itself within 1e-5 (1 + |r|) of a reported or an earlier missed r.
     """
     lo, hi = window
-    norm = matkit.operator_norm(tj)
-    step = max(1e-3, 0.2 / norm) if norm > 0.0 else hi - lo
-    rs = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
-    stack = (rs - anchor)[:, None, None] * tj
-    stack += np.eye(tj.shape[0])
-    sigmas = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    # interior local minima plus both ends, worth refining when small
-    candidates = [0, len(rs) - 1]
-    interior = np.where((sigmas[1:-1] <= sigmas[:-2]) & (sigmas[1:-1] <= sigmas[2:]))[0] + 1
-    candidates.extend(int(i) for i in interior)
-    dips = []
-    for i in sorted(set(candidates)):
-        if sigmas[i] > 0.1:
+    sigma_dip = DEFAULT_TOLERANCES.sigma_dip
+
+    def sigma(x: float) -> float:
+        return _criterion_sigma(tj, x - anchor)
+
+    def near(x: complex, named) -> bool:
+        return any(abs(x - r) <= 1e-5 * (1.0 + abs(r)) for r in named)
+
+    reported = [res.coupling for res in found]
+    missed: list[float] = []
+    for rho in roots:
+        if not lo <= rho.real <= hi or near(rho, reported):
             continue
-        r = _golden_section(
-            lambda r: _criterion_sigma(tj, r - anchor),
-            float(rs[max(i - 1, 0)]),
-            float(rs[min(i + 1, len(rs) - 1)]),
-        )
-        if _criterion_sigma(tj, r - anchor) < dip:
-            dips.append(r)
-    dips.sort()
-    # dips closer than one step are one dip
-    return tuple(r for i, r in enumerate(dips) if i == 0 or r - dips[i - 1] >= step)
+        w = max(abs(rho.imag), 1e-5 * (1.0 + abs(rho.real)))
+        a, b = max(rho.real - w, lo), min(rho.real + w, hi)
+        x = _golden_section(sigma, a, b)
+        s = sigma(x)
+        if s < sigma_dip and s < min(sigma(a), sigma(b)) and not near(x, reported + missed):
+            missed.append(x)
+    return tuple(sorted(missed))
 
 
-def resonance_couplings(
-    t_limit: np.ndarray,
-    direction: Direction,
-    window: tuple[float, float] = DEFAULT_WINDOW,
-    anchor: float = 0.0,
-    *,
-    limit_error: float = 0.0,
-    cross_check: bool = True,
-) -> ResonanceReport:
-    """Enumerate resonance couplings of ``direction`` relative to ``anchor``.
-
-    ``t_limit`` is the converged boundary value at the anchor coupling and
-    ``limit_error`` its error estimate (used to widen the eigenvalue
-    clustering radius, since an entry error eps splits a multiple
-    eigenvalue by about sqrt(eps)).  An empty report is a valid outcome.
-    With ``cross_check``, ``scan_agrees`` is true when every scan dip lies
-    within 1e-5 (1 + |r|) of a reported coupling r.
-    """
-    t_limit = matkit.as_square(t_limit)
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("window must be a nonempty interval")
-    tj = t_limit @ direction.j
-    mu = matkit.eig_general(tj)
+def _eigenvalue_route(
+    tj: np.ndarray,
+    mu: np.ndarray,
+    anchor: float,
+    window: tuple[float, float],
+    limit_error: float,
+) -> list[Resonance]:
+    """Resonances r = anchor - 1/mu in the window, by the clustering rule above."""
+    lo, hi = window
     floor = 10.0 * np.sqrt(max(limit_error, 0.0))
     radius = np.maximum(DEFAULT_TOLERANCES.resonance_cluster_rtol * (1.0 + np.abs(mu)), floor)
     zero_tol = 1e-12 * (1.0 + matkit.operator_norm(tj))
@@ -303,21 +368,60 @@ def resonance_couplings(
         if lo <= r <= hi and _criterion_sigma(tj, r - anchor) < sigma_dip:
             found.append(Resonance(coupling=float(r), multiplicity=multiplicity))
     found.sort(key=lambda res: res.coupling)
+    return found
 
-    dips = None
-    agrees = None
+
+def resonance_couplings(
+    t_limit: np.ndarray,
+    direction: Direction,
+    window: tuple[float, float] = DEFAULT_WINDOW,
+    anchor: float = 0.0,
+    *,
+    limit_error: float = 0.0,
+    cross_check: bool = True,
+) -> ResonanceReport:
+    """Enumerate resonance couplings of ``direction`` relative to ``anchor``.
+
+    ``t_limit`` is the converged boundary value at the anchor coupling and
+    ``limit_error`` its error estimate (used to widen the eigenvalue
+    clustering radius, since an entry error eps splits a multiple
+    eigenvalue by about sqrt(eps)).  An empty report is a valid outcome.
+
+    With ``cross_check``, the zeros of det(1 + (r - anchor) T J) are
+    counted by the argument principle around the box [lo - h, hi + h] x
+    [-h, h] with h = 1e-2 (hi - lo), which keeps a resonance at a window
+    end off the contour.  ``root_count`` is that count (None when it is
+    inconclusive); it must equal the number of nonzero eigenvalues mu of
+    T J, with multiplicity, whose root anchor - 1/mu lies in the box.
+    Every such root with its real part in the window that was not reported
+    is refined on sigma_min, and the couplings where sigma_min dips below
+    ``sigma_dip`` are ``missed``.  ``scan_agrees`` is true when the count
+    is conclusive and equal, and nothing was missed.
+    """
+    t_limit = matkit.as_square(t_limit)
+    lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise ValueError("window must be a nonempty interval")
+    tj = t_limit @ direction.j
+    mu = matkit.eig_general(tj)
+    found = _eigenvalue_route(tj, mu, anchor, (lo, hi), limit_error)
+
+    count = missed = agrees = None
     if cross_check:
-        dips = _scan_dips(tj, anchor, (lo, hi), sigma_dip)
-        agrees = all(
-            any(abs(d - res.coupling) <= 1e-5 * (1.0 + abs(res.coupling)) for res in found)
-            for d in dips
-        )
+        h = 1e-2 * (hi - lo)
+        left, right = lo - h, hi + h
+        count = _contour_count(tj, anchor, (left, right, h))
+        roots = anchor - 1.0 / mu[mu != 0]
+        roots = roots[(left <= roots.real) & (roots.real <= right) & (np.abs(roots.imag) <= h)]
+        missed = _missed_couplings(tj, anchor, (lo, hi), roots, found)
+        agrees = count == len(roots) and not missed
     return ResonanceReport(
         anchor=float(anchor),
         resonances=tuple(found),
         window=(lo, hi),
-        imag_tolerance=imag_rtol,
-        scan_dips=dips,
+        imag_tolerance=DEFAULT_TOLERANCES.resonance_imag_rtol,
+        missed=missed,
+        root_count=count,
         scan_agrees=agrees,
     )
 

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +212,50 @@ class TestCommands:
         report, code = cli.run_scenario(load("lattice_lambda3_scan.json"), "scan")
         assert code == 3
         assert report["result"]["verdict"]["resonances"]["scan_agrees"] is False
+
+    def test_scan_names_dropped_resonance(self, monkeypatch):
+        # H = diag(1/3000.7, 2), F = I at lam = 0 gives T = diag(3000.7, 0.5);
+        # the eigenvalue route is made to lose r = -2
+        real = perturb._eigenvalue_route
+
+        def dropping(*args):
+            return [res for res in real(*args) if abs(res.coupling + 2.0) > 1e-9]
+
+        monkeypatch.setattr(perturb, "_eigenvalue_route", dropping)
+        doc = {
+            "model": {
+                "type": "finite_hermitian",
+                "matrix": [[[1.0 / 3000.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+            },
+            "rigging": {
+                "channels": [{"row": [[1.0, 0.0], [0.0, 0.0]]}, {"row": [[0.0, 0.0], [1.0, 0.0]]}]
+            },
+            "J": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            "lambda": 0.0,
+            "window": [-5.0, 5.0],
+        }
+        report, code = cli.run_scenario(scenario.parse_scenario(doc), "scan")
+        assert code == 3
+        resonances = report["result"]["verdict"]["resonances"]
+        assert resonances["scan_agrees"] is False and resonances["root_count"] == 2
+        assert len(resonances["missed"]) == 1 and abs(resonances["missed"][0] + 2.0) <= 1e-9
+
+    def test_scan_wide_window_is_bounded(self):
+        # the old grid scan stacked 2e9 matrices for this window
+        scn = dataclasses.replace(load("lattice_lambda3_scan.json"), window=(-1e6, 1e6))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report, code = cli.run_scenario(scn, "scan")
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        resonances = report["result"]["verdict"]["resonances"]
+        assert [res["r"] for res in resonances["resonances"]] == pytest.approx([np.sqrt(5.0)])
+        assert resonances["root_count"] == 1 and resonances["missed"] == []
+        assert elapsed < 2.0 and peak < 50 * 2**20
 
     def test_verify_thm_embedded(self):
         report, code = cli.run_scenario(load("embedded_verify_thm.json"), "verify-thm")

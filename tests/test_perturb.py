@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laplab import lap, matkit, models, perturb
 from laplab.errors import (
@@ -242,7 +244,8 @@ class TestResonanceCouplings:
         ],
     )
     def test_dip_narrower_than_grid_step(self, t, window, expected):
-        # ||TJ|| > 200: the grid may step over a dip, which is no disagreement
+        # ||TJ|| > 200: a dip narrower than the old scan's 1e-3 step, which the
+        # contour counts like any other root
         report = perturb.resonance_couplings(
             t, perturb.Direction.identity(t.shape[0]), window=window
         )
@@ -259,8 +262,89 @@ class TestResonanceCouplings:
             np.array([[-1.0 / SQ5 + 1e-10j]]), perturb.Direction(np.array([[1.0]]))
         )
         assert report.resonances == ()
-        assert len(report.scan_dips) == 1 and abs(report.scan_dips[0] - SQ5) <= 1e-8
+        assert len(report.missed) == 1 and abs(report.missed[0] - SQ5) <= 1e-8
         assert report.scan_agrees is False
+
+    def test_dropped_resonance_is_named(self, monkeypatch):
+        # the eigenvalue route loses r = -2 of diag(3000.7, 0.5): the contour
+        # still counts two roots, and sigma_min names the missing one
+        real = perturb._eigenvalue_route
+
+        def dropping(*args):
+            return [res for res in real(*args) if abs(res.coupling + 2.0) > 1e-9]
+
+        monkeypatch.setattr(perturb, "_eigenvalue_route", dropping)
+        report = perturb.resonance_couplings(
+            np.diag([3000.7, 0.5]), perturb.Direction.identity(2), window=(-5.0, 5.0)
+        )
+        np.testing.assert_allclose([r.coupling for r in report.resonances], [-1.0 / 3000.7])
+        assert report.root_count == 2
+        assert len(report.missed) == 1 and abs(report.missed[0] + 2.0) <= 1e-9
+        assert report.scan_agrees is False
+
+    @pytest.mark.parametrize("coupling", [0.0, 1.0])
+    def test_complex_root_on_resonance_slope(self, coupling):
+        # a complex root 2.9e-4 from the real resonance at r = 0 is no miss;
+        # with the off-diagonal coupling sigma_min is below sigma_dip on the
+        # whole refinement interval and smallest at its end nearest r = 0
+        rho = 2.69e-4 - 1.02e-4j
+        t = np.array([[1.0, coupling], [0.0, 1.0 / (1.0 - rho)]])
+        report = perturb.resonance_couplings(
+            t, perturb.Direction.identity(2), window=(-0.5, 0.5), anchor=1.0
+        )
+        assert len(report.resonances) == 1 and abs(report.resonances[0].coupling) <= 1e-12
+        assert report.root_count == 2
+        assert report.missed == ()
+        assert report.scan_agrees
+
+    def test_root_at_window_end(self):
+        report = perturb.resonance_couplings(
+            np.array([[1.0]]), perturb.Direction(np.array([[1.0]])), window=(-1.0, 1.0)
+        )
+        assert [res.coupling for res in report.resonances] == [-1.0]
+        assert report.root_count == 1
+        assert report.scan_agrees
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    @pytest.mark.parametrize("x0", [0.1, 0.25, 0.7])
+    def test_real_cluster_counted_in_full(self, m, x0):
+        # m equal roots at x0 turn the phase by m times a single root's
+        # turn between two nodes; each half must stay below pi/4 as well
+        report = perturb.resonance_couplings(
+            np.eye(m) * (-1.0 / x0), perturb.Direction.identity(m), window=(-1.0, 1.0)
+        )
+        assert len(report.resonances) == 1 and report.resonances[0].multiplicity == m
+        assert report.root_count == m
+        assert report.scan_agrees
+
+    def test_root_on_contour_is_inconclusive(self):
+        # window (-0.99, 0.01) puts the left edge of the box, and its middle
+        # node, exactly on the root r = -1
+        report = perturb.resonance_couplings(
+            np.array([[1.0]]), perturb.Direction(np.array([[1.0]])), window=(-0.99, 0.01)
+        )
+        assert report.resonances == () and report.missed == ()
+        assert report.root_count is None
+        assert report.scan_agrees is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        k=st.integers(min_value=1, max_value=8),
+        imag=st.sampled_from([0.0, 1e-3, 1e-2, 1.0]),
+    )
+    def test_root_count_matches_eigenvalues(self, seed, k, imag):
+        # a real T J has real roots and conjugate pairs; a small imaginary
+        # part moves roots just off the axis, in and out of the box
+        rng = np.random.default_rng(seed)
+        t = rng.normal(size=(k, k)) + 1j * imag * rng.normal(size=(k, k))
+        window = (-1.0, 1.0)
+        report = perturb.resonance_couplings(t, perturb.Direction.identity(k), window=window)
+        mu = np.linalg.eigvals(t)
+        roots = -1.0 / mu[mu != 0]
+        h = 1e-2 * (window[1] - window[0])
+        inside = (np.abs(roots.imag) <= h) & (np.abs(roots.real) <= window[1] + h)
+        assert report.root_count == int(inside.sum())
 
     def test_strict_positivity_exclusion_random_directions(self):
         # Im T positive definite forbids real spectrum of T J for every J
