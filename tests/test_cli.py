@@ -241,7 +241,7 @@ class TestCommands:
         assert len(resonances["missed"]) == 1 and abs(resonances["missed"][0] + 2.0) <= 1e-9
 
     def test_scan_wide_window_is_bounded(self):
-        # the old grid scan stacked 2e9 matrices for this window
+        # neither time nor memory may grow with the width of the window
         scn = dataclasses.replace(load("lattice_lambda3_scan.json"), window=(-1e6, 1e6))
         tracemalloc.start()
         try:

@@ -244,8 +244,8 @@ class TestResonanceCouplings:
         ],
     )
     def test_dip_narrower_than_grid_step(self, t, window, expected):
-        # ||TJ|| > 200: a dip narrower than the old scan's 1e-3 step, which the
-        # contour counts like any other root
+        # ||TJ|| > 200: sigma_min dips narrower than 1e-3, which the contour
+        # counts like any other root
         report = perturb.resonance_couplings(
             t, perturb.Direction.identity(t.shape[0]), window=window
         )
