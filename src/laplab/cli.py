@@ -91,18 +91,14 @@ def _limit_dict(outcome) -> dict:
             "error_estimate": float(outcome.error_estimate),
             "method": outcome.method,
         }
-    if isinstance(outcome, Diverged):
-        return {
-            "outcome": "diverged",
-            "blowup_exponent": float(outcome.blowup_exponent),
-            "norms_trace": [[float(y), float(nm)] for y, nm in outcome.norms_trace],
-        }
-    return {
-        "outcome": "inconclusive",
-        "last_delta": float(outcome.last_delta),
+    out = {
+        "outcome": "diverged" if isinstance(outcome, Diverged) else "inconclusive",
         "blowup_exponent": float(outcome.blowup_exponent),
         "norms_trace": [[float(y), float(nm)] for y, nm in outcome.norms_trace],
     }
+    if not isinstance(outcome, Diverged):
+        out["last_delta"] = float(outcome.last_delta)
+    return out
 
 
 def _resonances_dict(report: ResonanceReport) -> dict:
@@ -382,11 +378,7 @@ def _row(axis: str, value: float, t: np.ndarray | None, tj_ref: np.ndarray | Non
     else:
         t_norm = matkit.operator_norm(t)
         im_min = matkit.min_eig_hermitian(matkit.im_part(t))
-        sigma = (
-            matkit.smallest_singular(np.eye(t.shape[0]) + tj_ref)
-            if tj_ref is not None
-            else float("inf")
-        )
+        sigma = float("inf") if tj_ref is None else matkit.smallest_singular(np.eye(t.shape[0]) + tj_ref)
     finite = np.isfinite([t_norm, im_min, sigma]).all()
     return {
         "axis": axis,

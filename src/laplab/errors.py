@@ -9,7 +9,14 @@ from __future__ import annotations
 
 
 class LapLabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``index`` is the stack position of
+    the failing matrix when the error comes from a stack of matrices."""
+
+    index: int | None = None
+
+    def at(self, index: int) -> "LapLabError":
+        self.index = int(index)
+        return self
 
 
 class SingularMatrix(LapLabError):

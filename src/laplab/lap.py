@@ -77,6 +77,10 @@ class Inconclusive:
 BoundaryLimit = Converged | Diverged | Inconclusive
 
 
+def _grid_error(y: float, exc: LapLabError) -> GridEvaluationError:
+    return GridEvaluationError(y, f"evaluation failed at y={y!r}: {exc}")
+
+
 def evaluate_on_grid(
     t_of_z: Callable[[HalfPlanePoint], np.ndarray],
     lam: float,
@@ -92,7 +96,7 @@ def evaluate_on_grid(
         try:
             value = t_of_z(HalfPlanePoint(lam, y))
         except LapLabError as exc:
-            raise GridEvaluationError(y, f"evaluation failed at y={y!r}: {exc}") from exc
+            raise _grid_error(y, exc) from exc
         out.append((y, np.atleast_2d(np.asarray(value, dtype=complex))))
     return out
 
@@ -125,7 +129,7 @@ def extrapolate_limit(
     if (ys <= 0).any() or (np.diff(ys) >= 0).any():
         raise ValueError("sample ordinates must be positive and distinct")
     vals = [np.atleast_2d(np.asarray(v, dtype=complex)) for _, v in ordered]
-    norms = np.array([np.linalg.norm(v, 2) for v in vals])
+    norms = np.linalg.norm(np.array(vals), 2, axis=(1, 2))
     trace = tuple((float(y), float(nm)) for y, nm in zip(ys, norms))
 
     exponent = _fit_blowup(ys, norms)
@@ -136,18 +140,16 @@ def extrapolate_limit(
     # Neville table toward y = 0, processed sample by sample; diagonal
     # entries are the successive full-order extrapolants.
     prev_row: list[np.ndarray] = [vals[0]]
-    diag_prev = vals[0]
     deltas: list[float] = []
     for i in range(1, len(vals)):
         row = [vals[i]]
         for j in range(1, i + 1):
             factor = ys[i - j] / ys[i]
             row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / (factor - 1.0))
-        delta = float(np.linalg.norm(row[-1] - diag_prev, 2))
+        delta = float(np.linalg.norm(row[-1] - prev_row[-1], 2))
         deltas.append(delta)
         if len(deltas) >= 2 and deltas[-1] < tol and deltas[-2] < tol:
             return Converged(value=row[-1], error_estimate=delta, method="extrapolated")
         prev_row = row
-        diag_prev = row[-1]
     return Inconclusive(last_delta=deltas[-1], blowup_exponent=exponent, norms_trace=trace)
 

@@ -24,11 +24,18 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def as_square(m) -> np.ndarray:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+def _as_square_stack(m) -> np.ndarray:
+    """Coerce to a complex (..., k, k) stack with finite entries; a matrix is a stack of one."""
+    a = np.atleast_2d(np.asarray(m, dtype=complex))
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def as_square(m) -> np.ndarray:
+    return _as_square_stack(as_matrix(m))
 
 
 def operator_norm(m) -> float:
@@ -53,19 +60,23 @@ def require_hermitian(m) -> np.ndarray:
 
 
 def solve_linear(m, b) -> np.ndarray:
-    """Solve M X = B for square M, rejecting numerically singular systems.
+    """Solve M X = B for square M, or for each M of a (..., k, k) stack,
+    rejecting numerically singular systems.
 
     Raises ``SingularMatrix`` when the smallest singular value of M is at
-    or below ``solve_singular_rtol * ||M||``.
+    or below ``solve_singular_rtol * ||M||``, for the first such M in stack
+    order, with its position in ``index``.
     """
-    a = as_square(m)
+    a = _as_square_stack(m)
     rhs = np.asarray(b, dtype=complex)
-    if rhs.shape[0] != a.shape[0]:
+    if rhs.shape[0 if rhs.ndim == 1 else -2] != a.shape[-1]:
         raise ValueError(f"shapes not conformable: {a.shape} vs {rhs.shape}")
-    svals = np.linalg.svd(a, compute_uv=False)
+    svals = np.linalg.svd(a, compute_uv=False).reshape(-1, a.shape[-1])
     rtol = DEFAULT_TOLERANCES.solve_singular_rtol
-    if svals[-1] <= rtol * svals[0]:
-        raise SingularMatrix(f"sigma_min={svals[-1]:.3e} <= {rtol:g} * sigma_max={svals[0]:.3e}")
+    bad = np.flatnonzero(svals[:, -1] <= rtol * svals[:, 0])
+    if bad.size:
+        s = svals[bad[0]]
+        raise SingularMatrix(f"sigma_min={s[-1]:.3e} <= {rtol:g} * sigma_max={s[0]:.3e}").at(bad[0])
     return np.linalg.solve(a, rhs)
 
 

@@ -17,6 +17,7 @@ supported:
 * ``DirectSum`` -- block sum of two rigged models, used to plant point
   spectrum inside the lattice band.
 
+A y-grid of z is evaluated as one stack over the grid, in one kernel call.
 Evaluation at real z is exact where the closed form extends to the axis;
 :func:`boundary_exact` returns ``None`` ("absent") where it does not, which
 tells the caller to fall back on the numeric limit machinery in
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import matkit
 from .config import DEFAULT_TRUNCATION_SITES
-from .errors import BoundaryOutsideAC
+from .errors import BoundaryOutsideAC, LapLabError
 
 _BAND_EDGE_TOL = 1e-12
 
@@ -98,10 +99,7 @@ def free_lattice_kernel(z, n: int, m: int) -> complex:
 
 
 def _normalize_channel(channel) -> tuple[tuple[int, complex], ...]:
-    if isinstance(channel, dict):
-        items = channel.items()
-    else:
-        items = channel
+    items = channel.items() if isinstance(channel, dict) else channel
     acc: dict[int, complex] = {}
     for site, amp in items:
         acc[int(site)] = acc.get(int(site), 0.0) + complex(amp)
@@ -267,12 +265,44 @@ def _pair_check(model, rigging) -> None:
 
 
 def _block_diagonal(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """diag(left, right): the sandwiched resolvent of a direct sum."""
-    k = left.shape[0]
-    out = np.zeros((k + right.shape[0],) * 2, dtype=complex)
-    out[:k, :k] = left
-    out[k:, k:] = right
+    """diag(left, right), matrix by matrix over stacks: the sandwiched resolvent of a direct sum."""
+    k = left.shape[-1]
+    out = np.zeros(left.shape[:-2] + (k + right.shape[-1],) * 2, dtype=complex)
+    out[..., :k, :k] = left
+    out[..., k:, k:] = right
     return out
+
+
+def _resolvent_stack(model: OperatorModel, rigging: Rigging, zs: np.ndarray) -> np.ndarray:
+    """T_z for each z of the 1-d array ``zs``, evaluated as one (n, k, k) stack.
+
+    A failing z raises the error of :func:`sandwiched_resolvent` at the
+    first such z, with its position in ``index``.
+    """
+    _pair_check(model, rigging)
+    if isinstance(model, FiniteHermitian):
+        f = rigging.matrix
+        shifted = model.h - zs[:, None, None] * np.eye(model.n)
+        return f @ matkit.solve_linear(shifted, f.conj().T)
+    if isinstance(model, FreeLattice1D):
+        amps, dist = rigging._sandwich
+        powers = np.ones((len(zs), dist.max() + 1), dtype=complex)
+        dens = np.empty(len(zs), dtype=complex)
+        for i, zc in enumerate(zs.tolist()):  # Python complex, as a single z was
+            try:
+                powers[i, 1:], dens[i] = _zeta(zc)
+            except BoundaryOutsideAC as exc:
+                raise exc.at(i)
+        # take keeps G C-contiguous: each product is the BLAS call of one z
+        g = np.take(np.cumprod(powers, axis=1), dist, axis=1)
+        g /= dens[:, None, None]
+        return amps.conj().T @ g @ amps
+    try:
+        left = _resolvent_stack(model.left, rigging.left, zs)
+    except LapLabError as exc:  # the right block may fail at an earlier z
+        _resolvent_stack(model.right, rigging.right, zs[: exc.index])
+        raise
+    return _block_diagonal(left, _resolvent_stack(model.right, rigging.right, zs))
 
 
 def sandwiched_resolvent(model: OperatorModel, rigging: Rigging, z) -> np.ndarray:
@@ -284,26 +314,11 @@ def sandwiched_resolvent(model: OperatorModel, rigging: Rigging, z) -> np.ndarra
     errors propagate: ``SingularMatrix`` when z hits finite spectrum,
     ``BoundaryOutsideAC`` at lattice band edges.
 
-    On the lattice T_z = A* G(z) A, with A and D precomputed per
-    :class:`LatticeRigging` and G = zeta^D / (zeta - 1/zeta); the powers of
-    zeta come from a cumulative product, relative error about d*u at distance d.
+    The grid's stack evaluation at one z.  On the lattice T_z = A* G(z) A,
+    with A and D precomputed per :class:`LatticeRigging`, G = zeta^D /
+    (zeta - 1/zeta) and zeta^d by cumulative product (relative error ~ d*u).
     """
-    _pair_check(model, rigging)
-    zc = _as_z(z)
-    if isinstance(model, FiniteHermitian):
-        f = rigging.matrix
-        shifted = model.h - zc * np.eye(model.n)
-        x = matkit.solve_linear(shifted, f.conj().T)
-        return f @ x
-    if isinstance(model, FreeLattice1D):
-        amps, dist = rigging._sandwich
-        zeta, den = _zeta(zc)
-        powers = np.cumprod(np.concatenate(([1.0], np.full(dist.max(), zeta))))
-        return amps.conj().T @ (powers[dist] / den) @ amps
-    return _block_diagonal(
-        sandwiched_resolvent(model.left, rigging.left, zc),
-        sandwiched_resolvent(model.right, rigging.right, zc),
-    )
+    return _resolvent_stack(model, rigging, np.array([_as_z(z)]))[0]
 
 
 def boundary_exact(model: OperatorModel, rigging: Rigging, lam: float) -> np.ndarray | None:
@@ -327,12 +342,8 @@ def boundary_exact(model: OperatorModel, rigging: Rigging, lam: float) -> np.nda
             return None
         return sandwiched_resolvent(model, rigging, complex(lam, 0.0))
     left = boundary_exact(model.left, rigging.left, lam)
-    if left is None:
-        return None
-    right = boundary_exact(model.right, rigging.right, lam)
-    if right is None:
-        return None
-    return _block_diagonal(left, right)
+    right = None if left is None else boundary_exact(model.right, rigging.right, lam)
+    return None if right is None else _block_diagonal(left, right)
 
 
 def tridiagonal_solve(diag, rhs) -> np.ndarray:

@@ -9,11 +9,11 @@ Everything in this module is built on that identity.  The uncoupled
 boundary data at lam is fixed once: the exact T_{lam+i0} when the base
 model has a closed form, otherwise the y-samples of T_{lam+iy}.  Every
 coupling is applied to that data through the identity, to the exact value
-or sample by sample before extrapolation (:func:`boundary_limit`); the
-kernel is never evaluated again for another coupling.  A coupling r is a
-*resonance* (relative to a convergent anchor r0) exactly when
-1 + (r - r0) T J is singular, which happens at r = r0 - 1/mu for the real
-nonzero eigenvalues mu of T J.
+or, evaluated as one stack over the grid, to the samples before
+extrapolation (:func:`boundary_limit`); the kernel is never evaluated again
+for another coupling.  A coupling r is a *resonance* (relative to a
+convergent anchor r0) exactly when 1 + (r - r0) T J is singular, which
+happens at r = r0 - 1/mu for the real nonzero eigenvalues mu of T J.
 
 Multiple eigenvalues of T J split like the square root of the data error
 under rounding, so eigenvalues are grouped into clusters.  A cluster with
@@ -39,14 +39,14 @@ import numpy as np
 
 from . import matkit
 from .config import DEFAULT_ANCHORS, DEFAULT_TOLERANCES, DEFAULT_WINDOW
-from .errors import AtResonance, EndpointOnSpectrum, GridEvaluationError
+from .errors import AtResonance, EndpointOnSpectrum, GridEvaluationError, LapLabError
 from .lap import (
     DEFAULT_GRID,
     BoundaryLimit,
     Converged,
     Diverged,
     YGrid,
-    evaluate_on_grid,
+    _grid_error,
     extrapolate_limit,
 )
 from .models import (
@@ -54,9 +54,9 @@ from .models import (
     FiniteRigging,
     OperatorModel,
     Rigging,
+    _resolvent_stack,
     boundary_exact,
     channel_count,
-    sandwiched_resolvent,
 )
 
 
@@ -149,18 +149,22 @@ class ExistenceCertificate:
 def perturbed_resolvent(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Apply the resolvent identity: T -> [1 + T A]^-1 T.
 
-    ``AtResonance`` is raised when 1 + T A is numerically singular; that is
-    a mathematical statement about the coupling, not a numerical fault.
+    ``t`` may be a (..., k, k) stack.  ``AtResonance`` is raised when 1 + T A
+    is numerically singular, for the first such T with its stack position
+    in ``index``; that is a mathematical statement about the coupling, not
+    a numerical fault.
     """
-    t = matkit.as_square(t)
+    t = matkit._as_square_stack(t)
     a = matkit.require_hermitian(a)
-    if a.shape != t.shape:
+    if a.shape != t.shape[-2:]:
         raise ValueError(f"shapes differ: T {t.shape} vs A {a.shape}")
-    ta = t @ a
-    m = np.eye(t.shape[0]) + ta
-    sigma = matkit.smallest_singular(m)
-    if sigma <= DEFAULT_TOLERANCES.invertibility_rtol * (1.0 + matkit.operator_norm(ta)):
-        raise AtResonance(sigma)
+    m = t @ a  # T A, then 1 + T A in place
+    bound = DEFAULT_TOLERANCES.invertibility_rtol * (1.0 + np.linalg.norm(m, 2, axis=(-2, -1)))
+    m += np.eye(a.shape[0])
+    sigma = np.linalg.svd(m, compute_uv=False)[..., -1]
+    bad = np.flatnonzero(sigma <= bound)
+    if bad.size:
+        raise AtResonance(float(sigma.flat[bad[0]])).at(bad[0])
     return np.linalg.solve(m, t)
 
 
@@ -210,12 +214,15 @@ def _criterion_sigma(tj: np.ndarray, rho: float) -> float:
     return matkit.smallest_singular(np.eye(tj.shape[0]) + rho * tj)
 
 
-def _golden_section(f, a: float, b: float, xatol: float = 1e-12) -> float:
-    """A minimiser of f on [a, b], to within xatol when f is unimodal."""
+def _golden_section(f, a: float, b: float, slope: float, level: float, xatol: float = 1e-12) -> float | None:
+    """A minimiser of f on [a, b], to within xatol when f is unimodal; None
+    once the ``slope``-Lipschitz f stays above ``level`` on the bracket."""
     g = (5.0**0.5 - 1.0) / 2.0
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(int(np.ceil(np.log((b - a) / xatol) / -np.log(g)))):
+        if min(fc, fd) - slope * (b - a) > level:
+            return None
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - g * (b - a)
@@ -297,6 +304,7 @@ def _contour_count(tj: np.ndarray, anchor: float, box: tuple[float, float, float
 
 def _missed_couplings(
     tj: np.ndarray,
+    norm_tj: float,
     anchor: float,
     window: tuple[float, float],
     roots: np.ndarray,
@@ -310,7 +318,8 @@ def _missed_couplings(
     1e-5 (1 + |Re root|)), clipped to the window.  The minimiser x is a miss
     when sigma_min(x) is below ``sigma_dip`` and below both ends of that
     interval (not a point on the slope of a reported dip), and x is not
-    itself within 1e-5 (1 + |r|) of a reported or an earlier missed r.
+    itself within 1e-5 (1 + |r|) of a reported or an earlier missed r.  The
+    search ends early once sigma_min, ``norm_tj``-Lipschitz in x, cannot dip.
     """
     lo, hi = window
     sigma_dip = DEFAULT_TOLERANCES.sigma_dip
@@ -328,7 +337,9 @@ def _missed_couplings(
             continue
         w = max(abs(rho.imag), 1e-5 * (1.0 + abs(rho.real)))
         a, b = max(rho.real - w, lo), min(rho.real + w, hi)
-        x = _golden_section(sigma, a, b)
+        x = _golden_section(sigma, a, b, norm_tj, sigma_dip)
+        if x is None:
+            continue
         s = sigma(x)
         if s < sigma_dip and s < min(sigma(a), sigma(b)) and not near(x, reported + missed):
             missed.append(x)
@@ -337,6 +348,7 @@ def _missed_couplings(
 
 def _eigenvalue_route(
     tj: np.ndarray,
+    norm_tj: float,
     mu: np.ndarray,
     anchor: float,
     window: tuple[float, float],
@@ -346,7 +358,7 @@ def _eigenvalue_route(
     lo, hi = window
     floor = 10.0 * np.sqrt(max(limit_error, 0.0))
     radius = np.maximum(DEFAULT_TOLERANCES.resonance_cluster_rtol * (1.0 + np.abs(mu)), floor)
-    zero_tol = 1e-12 * (1.0 + matkit.operator_norm(tj))
+    zero_tol = 1e-12 * (1.0 + norm_tj)
     imag_rtol = DEFAULT_TOLERANCES.resonance_imag_rtol
     sigma_dip = DEFAULT_TOLERANCES.sigma_dip
 
@@ -403,8 +415,9 @@ def resonance_couplings(
     if not lo < hi:
         raise ValueError("window must be a nonempty interval")
     tj = t_limit @ direction.j
+    norm_tj = matkit.operator_norm(tj)
     mu = matkit.eig_general(tj)
-    found = _eigenvalue_route(tj, mu, anchor, (lo, hi), limit_error)
+    found = _eigenvalue_route(tj, norm_tj, mu, anchor, (lo, hi), limit_error)
 
     count = missed = agrees = None
     if cross_check:
@@ -413,7 +426,7 @@ def resonance_couplings(
         count = _contour_count(tj, anchor, (left, right, h))
         roots = anchor - 1.0 / mu[mu != 0]
         roots = roots[(left <= roots.real) & (roots.real <= right) & (np.abs(roots.imag) <= h)]
-        missed = _missed_couplings(tj, anchor, (lo, hi), roots, found)
+        missed = _missed_couplings(tj, norm_tj, anchor, (lo, hi), roots, found)
         agrees = count == len(roots) and not missed
     return ResonanceReport(
         anchor=float(anchor),
@@ -432,11 +445,16 @@ BoundaryData = np.ndarray | Samples
 
 
 def _samples(model: OperatorModel, rigging: Rigging, lam: float, grid: YGrid) -> Samples:
-    """Samples of the uncoupled T_{lam+iy} on the y-grid, largest y first.
+    """Uncoupled T_{lam+iy} on the y-grid, largest y first, evaluated as one stack over the grid.
 
-    A failed sample raises :class:`GridEvaluationError`.
+    A failed sample raises :class:`GridEvaluationError` at the first failing y.
     """
-    return evaluate_on_grid(lambda pt: sandwiched_resolvent(model, rigging, pt), lam, grid)
+    ys = grid.points()
+    try:
+        stack = _resolvent_stack(model, rigging, lam + 1j * np.array(ys))
+    except LapLabError as exc:
+        raise _grid_error(ys[exc.index], exc) from exc
+    return list(zip(ys, stack))
 
 
 def _boundary_data(model: OperatorModel, rigging: Rigging, lam: float, grid: YGrid) -> BoundaryData:
@@ -451,20 +469,19 @@ def _uncoupled(t: np.ndarray, a: np.ndarray | None) -> bool:
 
 
 def _coupled(samples: Samples, a: np.ndarray | None) -> Samples:
-    """Each sample of T(H) taken to T(H + F* a F) through the identity.
+    """Each sample of T(H) taken to T(H + F* a F), evaluated as one stack over the grid.
 
-    ``AtResonance`` at a sample y raises :class:`GridEvaluationError` at y,
-    as a failed kernel evaluation does in :func:`evaluate_on_grid`.
+    ``AtResonance`` raises :class:`GridEvaluationError` at the first y where
+    1 + T a is singular, as a failed kernel sample does.
     """
     if _uncoupled(samples[0][1], a):
         return samples
-    out = []
-    for y, t in samples:
-        try:
-            out.append((y, perturbed_resolvent(t, a)))
-        except AtResonance as exc:
-            raise GridEvaluationError(y, f"evaluation failed at y={y!r}: {exc}") from exc
-    return out
+    ys, ts = zip(*samples)
+    try:
+        stack = perturbed_resolvent(np.array(ts), a)
+    except AtResonance as exc:
+        raise _grid_error(ys[exc.index], exc) from exc
+    return list(zip(ys, stack))
 
 
 def _limit_from(data: BoundaryData, a: np.ndarray | None, tol: float | None) -> BoundaryLimit:
@@ -516,10 +533,10 @@ def regular_direction(
     attached.  The uncoupled boundary data is built once, before the
     anchor loop, and each anchor is coupled to it through the identity:
     exactly when the base model has an exact boundary value, otherwise
-    sample by sample and extrapolated.  When an uncoupled sample fails at
-    some y, every anchor records ``error`` at that y.  ``NotObserved``
-    collects one diagnostic per failed anchor and is evidence of absence,
-    not absence of the limit.
+    evaluated as one stack over the grid and extrapolated.  When an
+    uncoupled sample fails at some y, every anchor records ``error`` at that
+    y.  ``NotObserved`` collects one diagnostic per failed anchor and is
+    evidence of absence, not absence of the limit.
     """
     if not anchors:
         raise ValueError("anchor list must be nonempty")

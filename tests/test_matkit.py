@@ -22,6 +22,25 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrix):
             matkit.solve_linear(np.array([[1.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
+    def test_stack_raises_for_first_singular_matrix(self):
+        stack = np.array([np.eye(2) * (1.0 + j) for j in range(5)], dtype=complex)
+        stack[2] = [[1.0, 1.0], [0.0, 0.0]]
+        stack[4] = [[2.0, 2.0], [1.0, 1.0]]
+        with pytest.raises(SingularMatrix) as err:
+            matkit.solve_linear(stack, np.eye(2))
+        assert err.value.index == 2
+        with pytest.raises(SingularMatrix) as single:
+            matkit.solve_linear(stack[2], np.eye(2))
+        assert str(err.value) == str(single.value)
+
+    def test_stack_solves_each_matrix(self):
+        rng = np.random.default_rng(7)
+        stack = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3)) + 4 * np.eye(3)
+        b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        x = matkit.solve_linear(stack, b)
+        for m, xm in zip(stack, x):
+            np.testing.assert_array_equal(xm, matkit.solve_linear(m, b))
+
     def test_residual_on_seeded_corpus(self):
         # 500 well-conditioned random systems; residual stays at the contract
         rng = np.random.default_rng(101)

@@ -331,3 +331,55 @@ def test_lattice_sandwich_band_edges_raise(lam):
         models.sandwiched_resolvent(models.FreeLattice1D(), rig, complex(lam, 0.0))
     with pytest.raises(BoundaryOutsideAC):
         models.sandwiched_resolvent(models.FreeLattice1D(), rig, models.HalfPlanePoint(lam, 0.0))
+
+
+@st.composite
+def _stack_pairs(draw):
+    """A lattice, finite or direct-sum (model, rigging) pair."""
+    kind = draw(st.sampled_from(["lattice", "finite", "sum"]))
+    lattice = (models.FreeLattice1D(), draw(_lattice_riggings()))
+    finite = random_finite_pair(np.random.default_rng(draw(st.integers(0, 2**31 - 1))), n_max=6)
+    return {"lattice": lattice, "finite": finite, "sum": models.make_direct_sum(lattice, finite)}[kind]
+
+
+_upper_points = st.builds(
+    complex, st.floats(-6.0, 6.0), st.floats(np.log10(_Y_FLOOR), 1.0).map(lambda e: 10.0**e)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_stack_pairs(), zs=st.lists(_upper_points, min_size=1, max_size=8))
+def test_resolvent_stack_matches_single_points(pair, zs):
+    stack = models._resolvent_stack(*pair, np.array(zs))
+    assert stack.shape == (len(zs), pair[1].k, pair[1].k)
+    for z, t in zip(zs, stack):
+        single = models._resolvent_stack(*pair, np.array([z]))[0]
+        assert np.abs(t - single).max() <= 1e-14 * np.abs(single).max()
+        np.testing.assert_array_equal(models.sandwiched_resolvent(*pair, z), single)
+
+
+@pytest.mark.parametrize(
+    "placed, error, index",
+    [
+        ({1: 0.3, 2: -2.0}, SingularMatrix, 1),
+        ({1: -2.0, 2: 0.3}, BoundaryOutsideAC, 1),
+        ({1: 2.0, 2: 0.3}, BoundaryOutsideAC, 1),
+        ({2: 0.3, 3: 2.0}, SingularMatrix, 2),
+    ],
+)
+def test_resolvent_stack_raises_for_first_failing_point(placed, error, index):
+    # the lattice (left) fails at band edges; the finite block (right), with
+    # eigenvalues 0.3 and 2, at those; at z = 2 both fail, and the left
+    # block's error is the one a single-point evaluation raises
+    pair = models.make_direct_sum(
+        (models.FreeLattice1D(), models.delta_rigging()),
+        (models.FiniteHermitian(np.diag([0.3, 2.0])), models.FiniteRigging(np.eye(2))),
+    )
+    zs = np.full(5, 0.5 + 0.1j)
+    zs[list(placed)] = list(placed.values())
+    with pytest.raises(error) as err:
+        models._resolvent_stack(*pair, zs)
+    assert err.value.index == index
+    with pytest.raises(error) as single:
+        models.sandwiched_resolvent(*pair, zs[index])
+    assert str(err.value) == str(single.value)

@@ -47,6 +47,27 @@ class TestPerturbedResolvent:
         out = perturb.perturbed_resolvent(np.array([[0.5j]]), np.array([[2.0]]))
         np.testing.assert_allclose(out, [[0.25 + 0.25j]], rtol=0, atol=1e-15)
 
+    def test_stack_raises_for_first_resonant_matrix(self):
+        a = np.diag([1.0, 2.0])
+        stack = np.array([np.diag([0.5j, 0.2j + j]) for j in range(5)])
+        stack[2] = np.diag([-1.0, 0.3])  # 1 + T a = diag(0, 1.6)
+        stack[4] = np.diag([0.1, -0.5 + 1e-14])
+        with pytest.raises(AtResonance) as err:
+            perturb.perturbed_resolvent(stack, a)
+        assert err.value.index == 2
+        with pytest.raises(AtResonance) as single:
+            perturb.perturbed_resolvent(stack[2], a)
+        assert str(err.value) == str(single.value)
+        assert err.value.sigma_min == single.value.sigma_min
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        a = random_hermitian(rng, 3)
+        out = perturb.perturbed_resolvent(stack, a)
+        for t, o in zip(stack, out):
+            np.testing.assert_array_equal(o, perturb.perturbed_resolvent(t, a))
+
     def test_scalar_arithmetic_vs_truncated_lattice(self):
         # independent oracle: tridiagonal solve of H0 + 2 P0 on 80001 sites,
         # extrapolated over y >> level spacing (pi/N ~ 8e-5)
@@ -265,6 +286,26 @@ class TestResonanceCouplings:
         assert len(report.missed) == 1 and abs(report.missed[0] - SQ5) <= 1e-8
         assert report.scan_agrees is False
 
+    def test_far_complex_root_ends_its_search_early(self, monkeypatch):
+        # rho = 0.3 + 0.01i lies in the counting box, but sigma_min(1 + x mu)
+        # = |mu| |x - rho| >= 0.033 near it: the Weyl bound ends the golden
+        # section after a few steps instead of the ~50 down to xatol
+        rho = 0.3 + 0.01j
+        calls = []
+        real = perturb._criterion_sigma
+
+        def counted(tj, r):
+            calls.append(r)
+            return real(tj, r)
+
+        monkeypatch.setattr(perturb, "_criterion_sigma", counted)
+        report = perturb.resonance_couplings(
+            np.array([[-1.0 / rho]]), perturb.Direction(np.array([[1.0]])), window=(-1.0, 1.0)
+        )
+        assert report.resonances == () and report.missed == ()
+        assert report.root_count == 1 and report.scan_agrees
+        assert 0 < len(calls) <= 8
+
     def test_dropped_resonance_is_named(self, monkeypatch):
         # the eigenvalue route loses r = -2 of diag(3000.7, 0.5): the contour
         # still counts two roots, and sigma_min names the missing one
@@ -418,45 +459,69 @@ class TestRegularDirection:
 
 
 class TestSampledOnce:
+    @staticmethod
+    def _count_kernel(monkeypatch, fail_at=None):
+        """Record the z-stack of each kernel evaluation; optionally plant a
+        failure at one grid index."""
+        calls = []
+        kernel = perturb._resolvent_stack
+
+        def counted(model_, rigging, zs):
+            calls.append(zs)
+            out = kernel(model_, rigging, zs)
+            if fail_at is not None:
+                raise SingularMatrix("planted failure").at(fail_at)
+            return out
+
+        monkeypatch.setattr(perturb, "_resolvent_stack", counted)
+        return calls
+
     def test_kernel_sampled_once_per_verdict(self, embedded_model, swap_direction, monkeypatch):
         # anchor 0 diverges and anchor 1 converges: both couple the same samples
         model, rig = embedded_model
-        calls = []
-        kernel = perturb.sandwiched_resolvent
-
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(perturb, "sandwiched_resolvent", counted)
+        calls = self._count_kernel(monkeypatch)
         verdict = perturb.regular_direction(model, rig, 0.0, swap_direction, anchors=(0.0, 1.0))
         assert isinstance(verdict, perturb.Regular) and verdict.witness_coupling == 1.0
         assert verdict.method == "extrapolated"
-        assert len(calls) == lap.DEFAULT_GRID.n
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0].imag, lap.DEFAULT_GRID.points())
 
     def test_base_sample_failure_fails_every_anchor(self, embedded_model, swap_direction, monkeypatch):
         model, rig = embedded_model
         bad_y = lap.DEFAULT_GRID.points()[3]
-        calls = []
-        kernel = perturb.sandwiched_resolvent
-
-        def failing(model_, rigging, pt):
-            calls.append(pt.y)
-            if pt.y == bad_y:
-                raise SingularMatrix("planted failure")
-            return kernel(model_, rigging, pt)
-
-        monkeypatch.setattr(perturb, "sandwiched_resolvent", failing)
+        calls = self._count_kernel(monkeypatch, fail_at=3)
         anchors = (0.0, 1.0, -1.0)
         verdict = perturb.regular_direction(model, rig, 0.0, swap_direction, anchors=anchors)
         assert isinstance(verdict, perturb.NotObserved)
         assert [(a.anchor, a.outcome, a.detail) for a in verdict.attempts] == [
             (r0, "error", bad_y) for r0 in anchors
         ]
-        assert calls == list(lap.DEFAULT_GRID.points()[:4])
+        assert len(calls) == 1
         with pytest.raises(GridEvaluationError) as err:
             perturb.boundary_limit(model, rig, 0.0, swap_direction.j)
         assert err.value.y == bad_y
+        assert str(err.value) == f"evaluation failed at y={bad_y!r}: planted failure"
+
+    def test_call_budget_does_not_grow_with_the_grid(self, embedded_model, swap_direction, monkeypatch):
+        # every y-sample layer is one stacked call: the LAPACK call count of a
+        # verdict on the numeric route does not depend on the number of samples
+        model, rig = embedded_model
+        counts = {}
+        for name in ("svd", "solve"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, **kwargs):
+                counts["calls"] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        budget = []
+        for n in (10, 20):
+            counts["calls"] = 0
+            verdict = perturb.regular_direction(model, rig, 0.0, swap_direction, grid=lap.YGrid(n=n))
+            assert isinstance(verdict, perturb.Regular) and verdict.method == "extrapolated"
+            budget.append(counts["calls"])
+        assert budget[0] == budget[1] > 0
 
 
 class TestZeroCoupling:
@@ -466,7 +531,7 @@ class TestZeroCoupling:
         identity = perturb.perturbed_resolvent
 
         def counted(t, a):
-            calls.append(a)
+            calls.append((np.shape(t), a))
             return identity(t, a)
 
         monkeypatch.setattr(perturb, "perturbed_resolvent", counted)
@@ -496,13 +561,13 @@ class TestZeroCoupling:
             assert out.error_estimate == uncoupled.error_estimate
 
     def test_anchor_zero_makes_no_identity_calls(self, embedded_model, swap_direction, monkeypatch):
-        # anchor 0 diverges without coupling; anchor 1 couples every sample
+        # anchor 0 diverges without coupling; anchor 1 couples all samples in one call
         model, rig = embedded_model
         calls = self._count_identity(monkeypatch)
         verdict = perturb.regular_direction(model, rig, 0.0, swap_direction, anchors=(0.0, 1.0))
         assert isinstance(verdict, perturb.Regular) and verdict.witness_coupling == 1.0
-        assert len(calls) == lap.DEFAULT_GRID.n
-        assert all(np.array_equal(a, swap_direction.j) for a in calls)
+        assert [shape for shape, _ in calls] == [(lap.DEFAULT_GRID.n, 2, 2)]
+        np.testing.assert_array_equal(calls[0][1], swap_direction.j)
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 3)])
     def test_zero_of_wrong_shape_raises(self, shape, embedded_model):
