@@ -22,12 +22,14 @@ resonance of multiplicity equal to its size; otherwise each real member
 counts once.  Every candidate must push sigma_min of the criterion operator
 below ``sigma_dip`` before it is reported.
 
-The cross-check counts the zeros of det(1 + (r - r0) T J) in a box about
-the coupling window without the eigenvalues, by the argument principle
-with one ``slogdet`` per contour node (Kravanja & Van Barel,
+The cross-check counts the zeros of f(r) = det(1 + (r - r0) T J) in a box
+about the coupling window by the argument principle (Kravanja & Van Barel,
 *Computing the Zeros of Analytic Functions*, LNM 1727, 2000; Ying & Katz,
-Numer. Math. 53, 1988).  The count must match the eigenvalue route's
-roots in the box, and every root the route did not report is tested on
+Numer. Math. 53, 1988).  The eigenvalue route's roots near the box are
+divided out of f first, so the phase is smooth where they are right and is
+tracked from 16 nodes per edge, one ``slogdet`` each.  The predicted count
+plus the winding number is still the count of zeros of f; the routes agree
+when the winding is 0, and every root the route did not report is tested on
 sigma_min, so a dropped resonance is named.
 """
 
@@ -235,7 +237,7 @@ def _golden_section(f, a: float, b: float, slope: float, level: float, xatol: fl
 
 
 #: Nodes per edge of the counting box before any halving.
-_EDGE_NODES = 64
+_EDGE_NODES = 16
 #: Halving levels after which an unresolved segment makes the count inconclusive.
 _MAX_HALVINGS = 40
 
@@ -276,13 +278,19 @@ def _arg_change(sign_at, nodes: np.ndarray) -> float | None:
     return None
 
 
-def _contour_count(tj: np.ndarray, anchor: float, box: tuple[float, float, float]) -> int | None:
-    """Zeros of det(1 + (r - anchor) T J) inside the box, by the argument principle.
+def _contour_count(
+    tj: np.ndarray, anchor: float, box: tuple[float, float, float], near: np.ndarray, predicted: int
+) -> int | None:
+    """Zeros of f(r) = det(1 + (r - anchor) T J) inside the box, by the argument principle.
 
     ``box = (left, right, h)`` is the rectangle [left, right] x [-h, h] of
-    the complex r-plane, run counterclockwise.  None when the count is
-    inconclusive: a zero on a node, an unresolved segment, or a winding
-    number that is not near an integer.
+    the complex r-plane, run counterclockwise.  The factors 1 + (r - anchor)
+    mu of ``near``, the nonzero eigenvalues of T J whose roots lie in the box
+    or within h of it, are divided out first; the winding number of the
+    quotient, smooth where they are right and tracked from 16 nodes per
+    edge, plus their ``predicted`` count in the box is the true count.  None
+    when it is inconclusive: f or a divided factor zero at a node, an
+    unresolved segment, or a winding number that is not near an integer.
     """
     left, right, h = box
     corners = np.array([left - 1j * h, right - 1j * h, right + 1j * h, left + 1j * h, left - 1j * h])
@@ -293,13 +301,15 @@ def _contour_count(tj: np.ndarray, anchor: float, box: tuple[float, float, float
     def sign_at(r: np.ndarray) -> np.ndarray:
         stack = np.multiply.outer(r - anchor, tj)
         stack.reshape(len(r), k * k)[:, :: k + 1] += 1.0
-        return np.linalg.slogdet(stack)[0]
+        f = 1.0 + np.multiply.outer(r - anchor, near)
+        phases = np.divide(f, np.abs(f), out=np.zeros_like(f), where=f != 0)
+        return np.linalg.slogdet(stack)[0] * phases.prod(axis=1).conj()
 
     change = _arg_change(sign_at, nodes)
     if change is None:
         return None
     n = change / (2.0 * np.pi)
-    return int(round(n)) if abs(n - round(n)) <= 1e-6 else None
+    return predicted + int(round(n)) if abs(n - round(n)) <= 1e-6 else None
 
 
 def _missed_couplings(
@@ -402,9 +412,11 @@ def resonance_couplings(
     With ``cross_check``, the zeros of det(1 + (r - anchor) T J) are
     counted by the argument principle around the box [lo - h, hi + h] x
     [-h, h] with h = 1e-2 (hi - lo), which keeps a resonance at a window
-    end off the contour.  ``root_count`` is that count (None when it is
-    inconclusive); it must equal the number of nonzero eigenvalues mu of
-    T J, with multiplicity, whose root anchor - 1/mu lies in the box.
+    end off the contour, after the predicted roots are divided out (16
+    nodes per edge, see :func:`_contour_count`).  ``root_count`` is that
+    count (None when it is inconclusive); it must equal the number of
+    nonzero eigenvalues mu of T J, with multiplicity, whose root
+    anchor - 1/mu lies in the box.
     Every such root with its real part in the window that was not reported
     is refined on sigma_min, and the couplings where sigma_min dips below
     ``sigma_dip`` are ``missed``.  ``scan_agrees`` is true when the count
@@ -423,9 +435,12 @@ def resonance_couplings(
     if cross_check:
         h = 1e-2 * (hi - lo)
         left, right = lo - h, hi + h
-        count = _contour_count(tj, anchor, (left, right, h))
-        roots = anchor - 1.0 / mu[mu != 0]
-        roots = roots[(left <= roots.real) & (roots.real <= right) & (np.abs(roots.imag) <= h)]
+        mu = mu[mu != 0]
+        roots = anchor - 1.0 / mu
+        # how far each root lies outside the box: at most 0 inside, h near it
+        out = np.maximum.reduce([left - roots.real, roots.real - right, np.abs(roots.imag) - h])
+        count = _contour_count(tj, anchor, (left, right, h), mu[out <= h], int((out <= 0).sum()))
+        roots = roots[out <= 0]
         missed = _missed_couplings(tj, norm_tj, anchor, (lo, hi), roots, found)
         agrees = count == len(roots) and not missed
     return ResonanceReport(

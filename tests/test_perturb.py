@@ -15,6 +15,7 @@ from laplab.errors import (
 )
 
 from conftest import random_finite_pair, random_hermitian
+from hardcases import in_box
 
 SQ5 = np.sqrt(5.0)
 
@@ -358,6 +359,7 @@ class TestResonanceCouplings:
         assert report.root_count == m
         assert report.scan_agrees
 
+    @pytest.mark.filterwarnings("error")
     def test_root_on_contour_is_inconclusive(self):
         # window (-0.99, 0.01) puts the left edge of the box, and its middle
         # node, exactly on the root r = -1
@@ -366,6 +368,69 @@ class TestResonanceCouplings:
         )
         assert report.resonances == () and report.missed == ()
         assert report.root_count is None
+        assert report.scan_agrees is False
+
+    @pytest.mark.filterwarnings("error")
+    def test_predicted_root_on_node_is_inconclusive(self, monkeypatch):
+        # the true root r = -4 is far outside the box, but a spurious mu = 1
+        # predicts r = -1, on the middle node of the left edge: the divided
+        # factor vanishes there, with no division by zero
+        real = matkit.eig_general
+        monkeypatch.setattr(matkit, "eig_general", lambda m: np.append(real(m), 1.0))
+        report = perturb.resonance_couplings(
+            np.array([[0.25]]), perturb.Direction(np.array([[1.0]])), window=(-0.99, 0.01)
+        )
+        assert report.resonances == () and report.missed == ()
+        assert report.root_count is None
+        assert report.scan_agrees is False
+
+    @staticmethod
+    def _planted(seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """T J = Q diag(-1/r) Q* with 1-3 roots r in the box of window
+        (-1, 1), half of them real, and the rest in [-3, 3] x [-0.5, 0.5]i."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 9))
+        n_in = int(rng.integers(1, min(3, k) + 1))
+        inside = rng.uniform(-1.02, 1.02, n_in) + 1j * rng.uniform(-0.02, 0.02, n_in) * (rng.uniform(size=n_in) < 0.5)
+        others = rng.uniform(-3, 3, k - n_in) + 1j * rng.uniform(-0.5, 0.5, k - n_in)
+        roots = np.concatenate((inside, others))
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        return (q * (-1.0 / roots)) @ q.conj().T, roots
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1), pick=st.integers(min_value=0, max_value=2))
+    def test_dropped_eigenvalue_is_detected(self, seed, pick):
+        # the eigenvalue route loses one in-box root: the contour still
+        # counts every planted root, and the routes disagree
+        tj, roots = self._planted(seed)
+        planted = int(in_box(roots).sum())
+        real = matkit.eig_general
+
+        def dropping(m):
+            mu = real(m)
+            at = np.flatnonzero(in_box(-1.0 / mu))
+            return np.delete(mu, at[pick % len(at)])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matkit, "eig_general", dropping)
+            report = perturb.resonance_couplings(tj, perturb.Direction.identity(len(roots)), window=(-1.0, 1.0))
+        assert report.root_count == planted
+        assert report.scan_agrees is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        spurious=st.floats(min_value=-0.999, max_value=0.999).filter(lambda x: abs(x) > 1e-3),
+    )
+    def test_spurious_root_is_detected(self, seed, spurious):
+        # the eigenvalue route gains a real root in the window that
+        # det(1 + r T J) does not have: the routes disagree
+        tj, roots = self._planted(seed)
+        real = matkit.eig_general
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matkit, "eig_general", lambda m: np.append(real(m), -1.0 / spurious))
+            report = perturb.resonance_couplings(tj, perturb.Direction.identity(len(roots)), window=(-1.0, 1.0))
+        assert report.root_count == int(in_box(roots).sum())
         assert report.scan_agrees is False
 
     @settings(max_examples=60, deadline=None)
